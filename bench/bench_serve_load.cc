@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -62,7 +61,6 @@
 #include "serve/server.h"
 #include "serve/sharding.h"
 #include "tensor/autograd.h"
-#include "tensor/dtype.h"
 #include "tensor/ops.h"
 #include "timeseries/time_features.h"
 
@@ -161,36 +159,6 @@ serve::ServerStats TotalStats(const serve::ShardedRegistry& sharded) {
     total.cache.payload_bytes += stats.cache.payload_bytes;
   }
   return total;
-}
-
-// Resident weight bytes of one model at both serving dtypes, measured by
-// actually loading the checkpoint each way — the reported ratio is what a
-// deployment gains, not an ElementSize arithmetic exercise.
-struct WeightReport {
-  std::string model;
-  int64_t f32_bytes = 0;
-  int64_t bf16_bytes = 0;
-
-  double ratio() const {
-    return bf16_bytes > 0
-               ? static_cast<double>(f32_bytes) / static_cast<double>(bf16_bytes)
-               : 0.0;
-  }
-};
-
-WeightReport MeasureWeightBytes(const serve::ModelSpec& spec) {
-  WeightReport report;
-  report.model = spec.name;
-  serve::ModelSpec probe = spec;
-  probe.config.serve_dtype = DType::kF32;
-  const auto f32 = serve::ServedModel::Load(probe);
-  probe.config.serve_dtype = DType::kBf16;
-  const auto bf16 = serve::ServedModel::Load(probe);
-  STSM_CHECK(f32->healthy() && bf16->healthy())
-      << "weight measurement load failed for " << spec.name;
-  report.f32_bytes = f32->weight_bytes();
-  report.bf16_bytes = bf16->weight_bytes();
-  return report;
 }
 
 // ---- open-loop network phase -----------------------------------------------
@@ -498,13 +466,6 @@ void Run(bool open_loop_only) {
   // and tools/check_pool_stats.py cross-checks that every CSR matrix built
   // during the run was destroyed (sparse.csr_create == sparse.csr_destroy).
   if (scale == BenchScale::kSmoke) config.sparse_adjacency = true;
-  // STSM_SERVE_DTYPE=bf16 flips the whole serving side — registry weights,
-  // adjacency values, cache entries — onto the reduced-precision path
-  // (DESIGN.md §13). CI runs the smoke load both ways.
-  const char* serve_dtype_env = std::getenv("STSM_SERVE_DTYPE");
-  if (serve_dtype_env != nullptr && std::strcmp(serve_dtype_env, "bf16") == 0) {
-    config.serve_dtype = DType::kBf16;
-  }
   StsmConfig config_trans = config;
   config_trans.temporal_module = TemporalModule::kTransformer;
   const SpaceSplit split = BenchSplits(dataset.coords, 1)[0];
@@ -535,7 +496,6 @@ void Run(bool open_loop_only) {
   double grad_seconds = 0.0, nograd_seconds = 0.0, load_seconds = 0.0;
   serve::ServerStats stats;
   std::vector<serve::ServerStats> shard_stats;
-  std::vector<WeightReport> weight_reports;
   OpenLoopResult open_loop;
   const int speedup_batch = 8;
   {
@@ -548,18 +508,12 @@ void Run(bool open_loop_only) {
     const serve::ModelSpec spec_trans = serve::BuildModelSpec(
         kModelTrans, dataset, split, config_trans, checkpoint_trans);
 
-    // Per-model resident weight bytes at both dtypes (the bf16 ratio has a
-    // floor in bench/baselines.json, enforced by tools/check_pool_stats.py).
-    weight_reports.push_back(MeasureWeightBytes(spec));
-    weight_reports.push_back(MeasureWeightBytes(spec_trans));
-
     serve::ShardedConfig sharded_config;
     sharded_config.num_shards = 2;
     sharded_config.server.num_workers = 2;
     sharded_config.server.queue_capacity = 32;
     sharded_config.server.batch_max = 8;
     sharded_config.server.cache_capacity = 128;
-    sharded_config.server.cache_dtype = config.serve_dtype;
     serve::ShardedRegistry sharded(sharded_config);
     STSM_CHECK(sharded.Load(spec).healthy) << "checkpoint load failed";
     STSM_CHECK(sharded.Load(spec_trans).healthy)
@@ -575,17 +529,6 @@ void Run(bool open_loop_only) {
       StModel model(config, &init_rng);
       STSM_CHECK(LoadModule(&model, checkpoint));
       model.SetTraining(false);
-      // The grad arm records autograd, and bf16 operands in a recorded
-      // forward are a checked error — so the timing arms always run on
-      // fp32 adjacencies, whatever the serving dtype.
-      const Adjacency timing_adj_s =
-          config.serve_dtype == DType::kF32
-              ? spec.adj_spatial
-              : spec.adj_spatial.Cast(DType::kF32);
-      const Adjacency timing_adj_t =
-          config.serve_dtype == DType::kF32
-              ? spec.adj_temporal
-              : spec.adj_temporal.Cast(DType::kF32);
       const int start_span = std::max(1, dataset.num_steps() - t -
                                              config.horizon - 1);
       std::vector<int> starts;
@@ -596,18 +539,18 @@ void Run(bool open_loop_only) {
           dataset.series, starts, WindowSpec{t, config.horizon},
           dataset.steps_per_day);
       // Warm both arms (buffer pool, instruction + data caches).
-      TimeForwardOnce(model, batch.inputs, batch.input_time, timing_adj_s,
-                      timing_adj_t, false);
-      TimeForwardOnce(model, batch.inputs, batch.input_time, timing_adj_s,
-                      timing_adj_t, true);
+      TimeForwardOnce(model, batch.inputs, batch.input_time, spec.adj_spatial,
+                      spec.adj_temporal, false);
+      TimeForwardOnce(model, batch.inputs, batch.input_time, spec.adj_spatial,
+                      spec.adj_temporal, true);
       double grad_min = 0.0, nograd_min = 0.0;
       for (int r = 0; r < shape.speedup_repeats; ++r) {
         const double g =
             TimeForwardOnce(model, batch.inputs, batch.input_time,
-                            timing_adj_s, timing_adj_t, false);
+                            spec.adj_spatial, spec.adj_temporal, false);
         const double n =
             TimeForwardOnce(model, batch.inputs, batch.input_time,
-                            timing_adj_s, timing_adj_t, true);
+                            spec.adj_spatial, spec.adj_temporal, true);
         if (r == 0 || g < grad_min) grad_min = g;
         if (r == 0 || n < nograd_min) nograd_min = n;
       }
@@ -819,26 +762,8 @@ void Run(bool open_loop_only) {
                static_cast<unsigned long long>(
                    open_loop.listener.read_pauses));
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"serve_dtype\": \"%s\",\n",
-               DTypeName(config.serve_dtype));
   std::fprintf(out, "  \"cache_payload_bytes\": %llu,\n",
                static_cast<unsigned long long>(stats.cache.payload_bytes));
-  double min_ratio = 0.0;
-  std::fprintf(out, "  \"weights\": {\n");
-  std::fprintf(out, "    \"models\": [\n");
-  for (size_t i = 0; i < weight_reports.size(); ++i) {
-    const WeightReport& w = weight_reports[i];
-    if (i == 0 || w.ratio() < min_ratio) min_ratio = w.ratio();
-    std::fprintf(out,
-                 "      {\"model\": \"%s\", \"f32_bytes\": %lld, "
-                 "\"bf16_bytes\": %lld, \"ratio\": %.4f}%s\n",
-                 w.model.c_str(), static_cast<long long>(w.f32_bytes),
-                 static_cast<long long>(w.bf16_bytes), w.ratio(),
-                 i + 1 < weight_reports.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out, "    \"bf16_weight_ratio\": %.4f\n", min_ratio);
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"grad_forward_seconds\": %.6f,\n", grad_seconds);
   std::fprintf(out, "  \"nograd_forward_seconds\": %.6f,\n", nograd_seconds);
   std::fprintf(out, "  \"nograd_speedup\": %.3f\n", speedup);

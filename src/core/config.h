@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "tensor/dtype.h"
-
 namespace stsm {
 
 // Which temporal-correlation module the ST blocks use (Section 5.2.5).
@@ -74,14 +72,6 @@ struct StsmConfig {
   // count, which is what makes city-scale graphs (Tables 6/7 city points)
   // feasible. Default off: the dense path stays bitwise what it was.
   bool sparse_adjacency = false;
-  // Storage dtype for served model weights and adjacency values
-  // (DESIGN.md §13). kBf16 halves the resident weight bytes of every
-  // registry entry; checkpoint weights are converted at load time
-  // (serve::BuildModelSpec / ServedModel::Load) and widened to fp32 inside
-  // the GEMM/SpMM kernels, so metrics stay within the Table 4 tolerance
-  // gate. Training ignores this knob entirely — it is fp32 bit-for-bit
-  // regardless.
-  DType serve_dtype = DType::kF32;
 
   // ---- Masking (Sections 3.3 / 4.1) ----
   bool selective_masking = true;  // false = STSM-R / STSM-RNC random masking.

@@ -24,9 +24,8 @@ Tensor GcnLayer::Forward(const Adjacency& adj, const Tensor& x) const {
   STSM_CHECK_EQ(x.shape()[-2], adj.rows());
   STSM_CHECK_EQ(x.shape()[-1], in_features_);
   // Â mixes the node dimension (MatMul or SpMM depending on the adjacency
-  // representation); W mixes features. Batch dims broadcast. A bf16 weight
-  // (serving) feeds the mixed-dtype GEMM; the bias widens at point of use.
-  return Add(MatMul(adj.Apply(x), weight_), WidenToF32(bias_));
+  // representation); W mixes features. Batch dims broadcast.
+  return Add(MatMul(adj.Apply(x), weight_), bias_);
 }
 
 std::vector<Tensor> GcnLayer::Parameters() const { return {weight_, bias_}; }

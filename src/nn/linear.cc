@@ -30,10 +30,8 @@ Tensor Linear::Forward(const Tensor& x) const {
     // through its strides directly — the GEMM packing absorbs the layout —
     // so skip the flatten, which would force a Contiguous copy. Per output
     // element the flop order matches the flattened path exactly.
-    // A bf16 weight (serving) feeds the mixed-dtype GEMM directly; the bias
-    // is widened at the point of use (identity handle for fp32).
     Tensor y = MatMul(x, weight_);
-    if (bias_.defined()) y = Add(y, WidenToF32(bias_));
+    if (bias_.defined()) y = Add(y, bias_);
     return y;
   }
   // Contiguous input: flatten all leading dims into the matmul row
@@ -41,7 +39,7 @@ Tensor Linear::Forward(const Tensor& x) const {
   const Shape original = x.shape();
   std::vector<int64_t> flat_dims = {x.numel() / in_features_, in_features_};
   Tensor y = MatMul(Reshape(x, Shape(flat_dims)), weight_);
-  if (bias_.defined()) y = Add(y, WidenToF32(bias_));
+  if (bias_.defined()) y = Add(y, bias_);
   std::vector<int64_t> out_dims = original.dims();
   out_dims.back() = out_features_;
   return Reshape(y, Shape(out_dims));

@@ -18,9 +18,7 @@ Tensor LayerNorm::Forward(const Tensor& x) const {
   const Tensor centered = Sub(x, mean);
   const Tensor variance = Mean(Square(centered), last, /*keepdim=*/true);
   const Tensor normalised = Div(centered, Sqrt(Add(variance, epsilon_)));
-  // Scale/shift widen bf16 serving weights at the point of use (identity
-  // handles for fp32 training).
-  return Add(Mul(normalised, WidenToF32(gamma_)), WidenToF32(beta_));
+  return Add(Mul(normalised, gamma_), beta_);
 }
 
 std::vector<Tensor> LayerNorm::Parameters() const { return {gamma_, beta_}; }

@@ -21,8 +21,18 @@ uint64_t HashWindow(const std::vector<float>& window) {
   return hash;
 }
 
+bool CacheKey::operator==(const CacheKey& other) const {
+  return window_hash == other.window_hash && generation == other.generation &&
+         start_step == other.start_step && model == other.model &&
+         regions == other.regions && window.size() == other.window.size() &&
+         (window.empty() ||
+          std::memcmp(window.data(), other.window.data(),
+                      window.size() * sizeof(float)) == 0);
+}
+
 size_t CacheKeyHash::operator()(const CacheKey& key) const {
   uint64_t hash = key.window_hash;
+  hash ^= key.generation + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
   hash ^= std::hash<std::string>()(key.model) + 0x9e3779b97f4a7c15ULL +
           (hash << 6) + (hash >> 2);
   hash ^= static_cast<uint64_t>(key.start_step) + 0x9e3779b97f4a7c15ULL +
@@ -34,9 +44,8 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
   return static_cast<size_t>(hash);
 }
 
-ForecastCache::ForecastCache(size_t capacity, CacheProfNames counters,
-                             DType entry_dtype)
-    : capacity_(capacity), counters_(counters), entry_dtype_(entry_dtype) {}
+ForecastCache::ForecastCache(size_t capacity, CacheProfNames counters)
+    : capacity_(capacity), counters_(counters) {}
 
 bool ForecastCache::Lookup(const CacheKey& key, std::vector<float>* out) {
   MutexLock lock(mutex_);
@@ -47,39 +56,19 @@ bool ForecastCache::Lookup(const CacheKey& key, std::vector<float>* out) {
     return false;
   }
   entries_.splice(entries_.begin(), entries_, it->second);
-  if (entry_dtype_ == DType::kBf16) {
-    const std::vector<uint16_t>& narrow = it->second->forecast_bf16;
-    out->resize(narrow.size());
-    for (size_t i = 0; i < narrow.size(); ++i) {
-      (*out)[i] = F32FromBf16(narrow[i]);  // Exact widening.
-    }
-  } else {
-    *out = it->second->forecast;
-  }
+  *out = it->second->forecast;
   ++stats_.hits;
   STSM_PROF_COUNT(counters_.hit, 1);
   return true;
 }
 
-void ForecastCache::Insert(const CacheKey& key, std::vector<float> forecast) {
+void ForecastCache::Insert(CacheKey key, std::vector<float> forecast) {
   if (capacity_ == 0) return;
-  // Narrow outside the lock: the RNE rounding loop is per-element work that
-  // the request fast path should not serialise on.
-  std::vector<uint16_t> narrow;
-  if (entry_dtype_ == DType::kBf16) {
-    narrow.resize(forecast.size());
-    for (size_t i = 0; i < forecast.size(); ++i) {
-      narrow[i] = Bf16FromF32(forecast[i]);
-    }
-    forecast.clear();
-    forecast.shrink_to_fit();
-  }
   MutexLock lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     stats_.payload_bytes -= it->second->payload_bytes();
     it->second->forecast = std::move(forecast);
-    it->second->forecast_bf16 = std::move(narrow);
     stats_.payload_bytes += it->second->payload_bytes();
     entries_.splice(entries_.begin(), entries_, it->second);
     return;
@@ -91,9 +80,9 @@ void ForecastCache::Insert(const CacheKey& key, std::vector<float> forecast) {
     ++stats_.evictions;
     STSM_PROF_COUNT(counters_.evict, 1);
   }
-  entries_.push_front(Entry{key, std::move(forecast), std::move(narrow)});
+  entries_.push_front(Entry{std::move(key), std::move(forecast)});
   stats_.payload_bytes += entries_.front().payload_bytes();
-  index_[key] = entries_.begin();
+  index_.emplace(entries_.front().key, entries_.begin());
 }
 
 size_t ForecastCache::size() const {

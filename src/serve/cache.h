@@ -1,23 +1,26 @@
 // LRU forecast cache: identical queries (same model, observation window,
 // start step and region set) are answered without touching the model.
 //
-// The observation window is folded into the key as a 64-bit FNV-1a hash of
-// its float payload rather than stored, keeping entries small; the other key
-// components are compared exactly. Thread-safe behind one mutex — the cache
-// sits on the request fast path, where a single uncontended lock is cheaper
-// than a model forward by several orders of magnitude.
+// Keys are exact: the observation window is stored in the key and compared
+// float by float, so a hash collision can never return another request's
+// forecast. Its 64-bit FNV-1a hash only picks the bucket. The key also
+// carries the generation of the model that produced the entry, so after a
+// checkpoint hot-swap the replaced model's forecasts are never served.
+// Thread-safe behind one mutex — the cache sits on the request fast path,
+// where a single uncontended lock is cheaper than a model forward by several
+// orders of magnitude.
 
 #ifndef STSM_SERVE_CACHE_H_
 #define STSM_SERVE_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "tensor/dtype.h"
 
 namespace stsm {
 namespace serve {
@@ -27,15 +30,17 @@ uint64_t HashWindow(const std::vector<float>& window);
 
 struct CacheKey {
   std::string model;
+  // HashWindow(window): the bucket hash, compared first as a cheap filter.
   uint64_t window_hash = 0;
   int start_step = 0;
   std::vector<int> regions;
+  // ServedModel::generation() of the model the forecast came from.
+  uint64_t generation = 0;
+  std::vector<float> window = {};
 
-  bool operator==(const CacheKey& other) const {
-    return window_hash == other.window_hash &&
-           start_step == other.start_step && model == other.model &&
-           regions == other.regions;
-  }
+  // Windows compare by bit pattern, so the comparison agrees with
+  // HashWindow (0.0f and -0.0f are different keys).
+  bool operator==(const CacheKey& other) const;
 };
 
 struct CacheKeyHash {
@@ -46,10 +51,8 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  // Resident forecast payload bytes right now (a gauge, not a counter):
-  // sum over entries of element count x element size at the entry dtype.
-  // bf16 entries hold half the bytes of fp32 ones; bench_serve_load
-  // reports this per cache.
+  // Resident forecast payload bytes right now (a gauge, not a counter);
+  // bench_serve_load reports this per cache.
   uint64_t payload_bytes = 0;
 };
 
@@ -65,53 +68,41 @@ struct CacheProfNames {
 };
 
 // Fixed-capacity LRU map from CacheKey to a [horizon x regions] forecast.
-//
-// entry_dtype selects the resident representation: kF32 stores forecasts
-// verbatim; kBf16 rounds them (RNE) on Insert and widens on Lookup, halving
-// the cache's payload bytes. The lookup API stays fp32 either way — callers
-// never see the narrow form. bf16 entries round the *served* values, which
-// is within the same Table 4 tolerance budget as bf16 weights (DESIGN.md
-// §13); the default is fp32 so existing deployments are byte-identical.
 class ForecastCache {
  public:
-  explicit ForecastCache(size_t capacity, CacheProfNames counters = {},
-                         DType entry_dtype = DType::kF32);
+  explicit ForecastCache(size_t capacity, CacheProfNames counters = {});
 
-  // Copies the cached forecast into `out` (widening bf16 entries) and
-  // promotes the entry to most-recently-used. Counts a hit or a miss
-  // either way.
+  // Copies the cached forecast into `out` and promotes the entry to
+  // most-recently-used. Counts a hit or a miss either way.
   bool Lookup(const CacheKey& key, std::vector<float>* out)
       STSM_EXCLUDES(mutex_);
 
   // Inserts (or refreshes) an entry, evicting the least-recently-used one
   // when at capacity. A capacity of zero disables the cache.
-  void Insert(const CacheKey& key, std::vector<float> forecast)
-      STSM_EXCLUDES(mutex_);
+  void Insert(CacheKey key, std::vector<float> forecast) STSM_EXCLUDES(mutex_);
 
   size_t size() const STSM_EXCLUDES(mutex_);
   CacheStats stats() const STSM_EXCLUDES(mutex_);
 
  private:
-  // Exactly one of the payload vectors is populated, per entry_dtype_.
   struct Entry {
     CacheKey key;
     std::vector<float> forecast;
-    std::vector<uint16_t> forecast_bf16;
 
-    uint64_t payload_bytes() const {
-      return forecast.size() * sizeof(float) +
-             forecast_bf16.size() * sizeof(uint16_t);
-    }
+    uint64_t payload_bytes() const { return forecast.size() * sizeof(float); }
   };
 
   const size_t capacity_;
   const CacheProfNames counters_;
-  const DType entry_dtype_;
   mutable Mutex mutex_;
   // Front = most recently used. `index_` iterators stay valid across the
   // LRU splices (std::list), so promote-then-read is safe under the lock.
+  // The index refers to each entry's own key, so a window is stored once
+  // per entry; list nodes never move, so the references stay valid.
   std::list<Entry> entries_ STSM_GUARDED_BY(mutex_);
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+  std::unordered_map<std::reference_wrapper<const CacheKey>,
+                     std::list<Entry>::iterator, CacheKeyHash,
+                     std::equal_to<CacheKey>>
       index_ STSM_GUARDED_BY(mutex_);
   CacheStats stats_ STSM_GUARDED_BY(mutex_);
 };

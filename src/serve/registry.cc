@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <atomic>
 #include <utility>
 
 #include "common/check.h"
@@ -7,7 +8,6 @@
 #include "common/rng.h"
 #include "graph/adjacency.h"
 #include "graph/geo.h"
-#include "nn/precision.h"
 #include "nn/serialize.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
@@ -76,18 +76,16 @@ ModelSpec BuildModelSpec(const std::string& name,
   spec.adj_temporal = config.sparse_adjacency
                           ? Adjacency(SparseCsr::FromDense(dtw))
                           : Adjacency(dtw);
-
-  // Reduced-precision serving stores the adjacency values at the serving
-  // dtype too (DESIGN.md §13); the GEMM/SpMM kernels widen per element, so
-  // propagation math still accumulates in fp32.
-  if (config.serve_dtype != DType::kF32) {
-    spec.adj_spatial = spec.adj_spatial.Cast(config.serve_dtype);
-    spec.adj_temporal = spec.adj_temporal.Cast(config.serve_dtype);
-  }
   return spec;
 }
 
-ServedModel::ServedModel(ModelSpec spec) : spec_(std::move(spec)) {}
+namespace {
+std::atomic<uint64_t> g_next_generation{1};
+}  // namespace
+
+ServedModel::ServedModel(ModelSpec spec)
+    : spec_(std::move(spec)),
+      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {}
 
 std::shared_ptr<ServedModel> ServedModel::Load(const ModelSpec& spec) {
   STSM_PROF_SCOPE("serve.model_load");
@@ -96,12 +94,6 @@ std::shared_ptr<ServedModel> ServedModel::Load(const ModelSpec& spec) {
   auto model = std::make_unique<StModel>(spec.config, &init_rng);
   if (LoadModule(model.get(), spec.checkpoint_path)) {
     model->SetTraining(false);  // Inference mode: dropout becomes identity.
-    if (spec.config.serve_dtype != DType::kF32) {
-      // Round the restored fp32 weights to the serving dtype and freeze the
-      // module; from here on a training step is a checked error.
-      CastModuleForServing(model.get(), spec.config.serve_dtype);
-    }
-    served->weight_bytes_ = ModuleWeightBytes(*model);
     served->model_ = std::move(model);
   }
   return served;

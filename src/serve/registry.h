@@ -73,10 +73,10 @@ class ServedModel {
   const ModelSpec& spec() const { return spec_; }
   bool healthy() const { return model_ != nullptr; }
 
-  // Resident parameter bytes at the serving dtype (0 when unhealthy). For
-  // spec.config.serve_dtype == kBf16 this is half the fp32 figure;
-  // bench_serve_load reports it per registry entry.
-  int64_t weight_bytes() const { return weight_bytes_; }
+  // Stamped at Load from a process-wide counter, so every Load — including
+  // a hot-swap that reuses a name — yields a distinct value. The forecast
+  // cache keys on it: a swap can never serve the replaced model's answers.
+  uint64_t generation() const { return generation_; }
 
   // Batched no-grad forward. inputs: [B, T, N, 1] normalised windows;
   // time_features: [B, T, 3]. Returns [B, T', N, 1] normalised forecasts.
@@ -88,7 +88,7 @@ class ServedModel {
 
   ModelSpec spec_;
   std::unique_ptr<StModel> model_;  // Null when the checkpoint failed.
-  int64_t weight_bytes_ = 0;
+  const uint64_t generation_;
 };
 
 // Health of the registry entry a Load replaced (the "previous generation"

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -19,10 +20,13 @@ ForecastResponse ErrorResponse(std::string message) {
   return response;
 }
 
-CacheKey KeyFor(const ForecastRequest& request) {
+// The cache key of `request` as answered by the model of `generation`.
+CacheKey KeyFor(const ForecastRequest& request, uint64_t generation) {
   CacheKey key;
   key.model = request.model;
+  key.generation = generation;
   key.window_hash = HashWindow(request.window);
+  key.window = request.window;
   key.start_step = request.start_step;
   key.regions = request.regions;
   return key;
@@ -55,7 +59,7 @@ ForecastServer::ForecastServer(const ModelRegistry* registry,
     : registry_(registry),
       config_(ValidatedConfig(config)),
       cache_(static_cast<size_t>(config.cache_capacity),
-             config.cache_counters, config.cache_dtype),
+             config.cache_counters),
       queue_(static_cast<size_t>(config.queue_capacity)),
       batch_size_counts_(
           new std::atomic<uint64_t>[config.batch_max + 1]()) {
@@ -108,16 +112,28 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       return;
     }
   }
+  // A NaN or infinite observation would run through the model and come back
+  // as a non-finite forecast labelled kOk (and be cached), so refuse it.
+  for (float value : request.window) {
+    if (!std::isfinite(value)) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      STSM_PROF_COUNT("serve.errors", 1);
+      done(ErrorResponse("non-finite window"));
+      return;
+    }
+  }
 
   if (request.deadline == Clock::time_point::max() &&
       config_.default_deadline.count() > 0) {
     request.deadline = now + config_.default_deadline;
   }
 
-  // Fast path: identical query answered from the cache.
+  // Fast path: identical query to the model found above, answered from the
+  // cache.
   if (model->healthy()) {
     ForecastResponse cached;
-    if (cache_.Lookup(KeyFor(request), &cached.forecast)) {
+    if (cache_.Lookup(KeyFor(request, model->generation()),
+                      &cached.forecast)) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       cached.status = Status::kOk;
       cached.cache_hit = true;
@@ -260,7 +276,9 @@ void ForecastServer::ProcessBatch(std::vector<Pending>* batch) {
                           r] = spec.normalizer.Inverse(p[index]);
       }
     }
-    cache_.Insert(KeyFor(request), response.forecast);
+    // Keyed by the generation that ran the batch: if the model was swapped
+    // meanwhile, this entry can never answer a query for the new one.
+    cache_.Insert(KeyFor(request, model->generation()), response.forecast);
     Respond(live[i], std::move(response));
   }
 }

@@ -53,12 +53,6 @@ struct ServerConfig {
   // Prof counter names for this server's forecast cache; a sharded
   // front-end injects per-shard names (see cache.h).
   CacheProfNames cache_counters{};
-  // Resident representation of cached forecasts. kBf16 halves the cache's
-  // payload bytes at the cost of RNE-rounding the cached values; lookups
-  // still return fp32 (see ForecastCache). Deployments serving bf16 weights
-  // typically set this to match — the rounding is within the same Table 4
-  // tolerance budget.
-  DType cache_dtype = DType::kF32;
 };
 
 // Point-in-time counters (monotonic since construction).

@@ -24,7 +24,8 @@ enum class Status {
   kOk,        // Forecast produced by the model (or served from cache).
   kDegraded,  // Fallback predictor answered; see ForecastResponse::message.
   kRejected,  // Backpressure: the request queue was full.
-  kError,     // Malformed request (unknown model, wrong window size, ...).
+  kError,     // Malformed request (unknown model, wrong window size,
+              // non-finite window value, ...).
 };
 
 const char* StatusName(Status status);
@@ -33,7 +34,8 @@ struct ForecastRequest {
   std::string model;          // Registry name.
   // Row-major [input_length x num_nodes] raw observation window covering
   // the model's whole graph (pseudo-observations already filled for
-  // unobserved columns, exactly like the offline evaluation path).
+  // unobserved columns, exactly like the offline evaluation path). Every
+  // value must be finite.
   std::vector<float> window;
   std::vector<int> regions;   // Node ids to forecast; must be non-empty.
   // Absolute step index of the window's first row — anchors the

@@ -39,22 +39,13 @@ void MicroKernel(int64_t kb, const float* a_panel, const float* b_panel,
   }
 }
 
-// Widening element loads for the packing loops: fp32 panels are copied
-// verbatim, bf16 bit patterns are widened exactly (<< 16). Everything past
-// the pack — microkernel, accumulator, C stores — is fp32 either way.
-inline float WidenLoad(float v) { return v; }
-inline float WidenLoad(uint16_t v) { return F32FromBf16(v); }
+}  // namespace
 
-// The blocked GEMM body, templated on the storage element type of each
-// operand. PackedGemmImpl<float, float> is the historical fp32 kernel
-// (identical arithmetic and flop order); the bf16 instantiations differ only
-// in the pack-time loads.
-template <typename AT, typename BT>
-void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
-                    const AT* a, int64_t rs_a, int64_t cs_a,  //
-                    const BT* b, int64_t rs_b, int64_t cs_b,  //
-                    float* c, int64_t rs_c, int64_t cs_c,     //
-                    bool accumulate) {
+void PackedGemm(int64_t m, int64_t n, int64_t k,            //
+                const float* a, int64_t rs_a, int64_t cs_a,  //
+                const float* b, int64_t rs_b, int64_t cs_b,  //
+                float* c, int64_t rs_c, int64_t cs_c,        //
+                bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
@@ -89,9 +80,9 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
       const int64_t jw = std::min(nr, n - j0);
       float* panel = b_pack + jp * kb * nr;
       for (int64_t kk = 0; kk < kb; ++kk) {
-        const BT* src = b + (kc + kk) * rs_b + j0 * cs_b;
+        const float* src = b + (kc + kk) * rs_b + j0 * cs_b;
         float* dst = panel + kk * nr;
-        for (int64_t j = 0; j < jw; ++j) dst[j] = WidenLoad(src[j * cs_b]);
+        for (int64_t j = 0; j < jw; ++j) dst[j] = src[j * cs_b];
         for (int64_t j = jw; j < nr; ++j) dst[j] = 0.0f;
       }
     }
@@ -101,9 +92,9 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
       // Pack the A row panel k-major (zero-padded past row m).
       float* a_pack = tl_a_pack.data();
       for (int64_t kk = 0; kk < kb; ++kk) {
-        const AT* src = a + i0 * rs_a + (kc + kk) * cs_a;
+        const float* src = a + i0 * rs_a + (kc + kk) * cs_a;
         float* dst = a_pack + kk * mr;
-        for (int64_t i = 0; i < iw; ++i) dst[i] = WidenLoad(src[i * rs_a]);
+        for (int64_t i = 0; i < iw; ++i) dst[i] = src[i * rs_a];
         for (int64_t i = iw; i < mr; ++i) dst[i] = 0.0f;
       }
 
@@ -127,45 +118,6 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
         }
       }
     }
-  }
-}
-
-}  // namespace
-
-void PackedGemm(int64_t m, int64_t n, int64_t k,            //
-                const float* a, int64_t rs_a, int64_t cs_a,  //
-                const float* b, int64_t rs_b, int64_t cs_b,  //
-                float* c, int64_t rs_c, int64_t cs_c,        //
-                bool accumulate) {
-  PackedGemmImpl<float, float>(m, n, k, a, rs_a, cs_a, b, rs_b, cs_b,  //
-                               c, rs_c, cs_c, accumulate);
-}
-
-void PackedGemmEx(int64_t m, int64_t n, int64_t k,                      //
-                  const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
-                  const void* b, DType b_dtype, int64_t rs_b, int64_t cs_b,
-                  float* c, int64_t rs_c, int64_t cs_c,                 //
-                  bool accumulate) {
-  const bool a16 = a_dtype == DType::kBf16;
-  const bool b16 = b_dtype == DType::kBf16;
-  if (!a16 && !b16) {
-    PackedGemmImpl<float, float>(
-        m, n, k, static_cast<const float*>(a), rs_a, cs_a,
-        static_cast<const float*>(b), rs_b, cs_b, c, rs_c, cs_c, accumulate);
-  } else if (a16 && !b16) {
-    PackedGemmImpl<uint16_t, float>(
-        m, n, k, static_cast<const uint16_t*>(a), rs_a, cs_a,
-        static_cast<const float*>(b), rs_b, cs_b, c, rs_c, cs_c, accumulate);
-  } else if (!a16 && b16) {
-    PackedGemmImpl<float, uint16_t>(
-        m, n, k, static_cast<const float*>(a), rs_a, cs_a,
-        static_cast<const uint16_t*>(b), rs_b, cs_b, c, rs_c, cs_c,
-        accumulate);
-  } else {
-    PackedGemmImpl<uint16_t, uint16_t>(
-        m, n, k, static_cast<const uint16_t*>(a), rs_a, cs_a,
-        static_cast<const uint16_t*>(b), rs_b, cs_b, c, rs_c, cs_c,
-        accumulate);
   }
 }
 

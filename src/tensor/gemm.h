@@ -22,8 +22,6 @@
 
 #include <cstdint>
 
-#include "tensor/dtype.h"
-
 namespace stsm {
 
 // Register-tile and cache-block parameters, exported so benchmarks and tests
@@ -53,20 +51,6 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
                 const float* b, int64_t rs_b, int64_t cs_b,  //
                 float* c, int64_t rs_c, int64_t cs_c,        //
                 bool accumulate);
-
-// Dtype-aware entry: the same contract as PackedGemm, but A and B carry a
-// runtime element type (fp32 or bf16 bit patterns). bf16 operands are
-// widened to fp32 *inside the packing loops* — the panels handed to the
-// register microkernel are always fp32, so the 6x16 AVX2 kernel and the
-// scalar reference tile are reused unchanged and accumulation is fp32
-// end-to-end. With both dtypes kF32 this is exactly PackedGemm (identical
-// template instantiation), so the fp32 path stays bit-for-bit. C is always
-// fp32: reduced precision is a storage format, not a compute format.
-void PackedGemmEx(int64_t m, int64_t n, int64_t k,                      //
-                  const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
-                  const void* b, DType b_dtype, int64_t rs_b, int64_t cs_b,
-                  float* c, int64_t rs_c, int64_t cs_c,                 //
-                  bool accumulate);
 
 // Reference implementation (triple loop, same stride convention). Used by
 // tests and benchmarks as the correctness / speed baseline.

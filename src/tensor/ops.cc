@@ -292,8 +292,8 @@ Tensor BinaryOp(const char* fwd_name, const char* bwd_name, const Tensor& a,
     layout.table->index_b = BuildIndexTable(*b.impl(), out_shape);
   }
 
-  const float* ad = a.data();
-  const float* bd = b.data();
+  const float* ad = a.impl()->data();
+  const float* bd = b.impl()->data();
   float* out = result->data();
   if (layout.a_same && layout.b_same) {
     const simd::KernelTable* vk = vec != nullptr ? simd::Active() : nullptr;
@@ -1379,15 +1379,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   ImplPtr result =
       internal::MakeResult(out_shape, {a.impl(), b.impl()}, /*zero=*/false);
 
-  // Operands address through dtype-generic byte pointers: fp32 everywhere
-  // except the no-grad serving path, where bf16 weights/adjacencies feed the
-  // widen-in-the-pack GEMM (PackedGemmEx). The output is always fp32.
-  const DType adt = a.dtype();
-  const DType bdt = b.dtype();
-  const char* ad = static_cast<const char*>(a.impl()->raw());
-  const char* bd = static_cast<const char*>(b.impl()->raw());
-  const int64_t aes = static_cast<int64_t>(ElementSize(adt));
-  const int64_t bes = static_cast<int64_t>(ElementSize(bdt));
+  const float* ad = a.impl()->data();
+  const float* bd = b.impl()->data();
   float* out = result->data();
   const int64_t m = plan->m, k = plan->k, n = plan->n;
 
@@ -1399,13 +1392,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const int64_t batch = t / blocks;
       const int64_t i0 = (t % blocks) * kGemmRowBlock;
       const int64_t rows = std::min(kGemmRowBlock, m - i0);
-      PackedGemmEx(
-          rows, n, k,  //
-          ad + (plan->a_batch_offset[batch] + i0 * plan->rs_a) * aes, adt,
-          plan->rs_a, plan->cs_a,  //
-          bd + plan->b_batch_offset[batch] * bes, bdt, plan->rs_b, plan->cs_b,
-          out + (batch * m + i0) * n, n, 1,
-          /*accumulate=*/false);
+      PackedGemm(rows, n, k,  //
+                 ad + plan->a_batch_offset[batch] + i0 * plan->rs_a,
+                 plan->rs_a, plan->cs_a,  //
+                 bd + plan->b_batch_offset[batch], plan->rs_b, plan->cs_b,
+                 out + (batch * m + i0) * n, n, 1,
+                 /*accumulate=*/false);
     }
   });
 
@@ -1414,56 +1406,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                                                    std::move(plan));
   }
   return Tensor(std::move(result));
-}
-
-// ---- Dtype conversion ---------------------------------------------------------------
-
-Tensor To(const Tensor& x, DType dtype) {
-  STSM_CHECK(x.defined());
-  if (x.dtype() == dtype) return x;  // Same handle; nothing to convert.
-  STSM_PROF_SCOPE("dtype.to");
-  // To() is a storage conversion, not math: it never records, and rounding a
-  // tensor that autograd would otherwise track must be explicit. Detach()
-  // first (or run under NoGradGuard, as the serving path does).
-  STSM_CHECK(!internal::ShouldRecord({x.impl()}))
-      << "To(" << DTypeName(dtype)
-      << ") is not differentiable; Detach() the tensor or convert under "
-         "NoGradGuard";
-  const int64_t n = x.numel();
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = x.shape();
-  impl->strides = x.shape().Strides();  // Conversion output is compact.
-  impl->storage = Storage::New(n, dtype, /*zero=*/false);
-  const TensorImpl& src = *x.impl();
-  if (dtype == DType::kBf16) {
-    // fp32 -> bf16, round-to-nearest-even (tensor/dtype.h).
-    uint16_t* dst = impl->storage->bf16_data();
-    const float* s = src.data();
-    if (src.is_contiguous()) {
-      for (int64_t i = 0; i < n; ++i) dst[i] = Bf16FromF32(s[i]);
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        dst[i] = Bf16FromF32(s[src.PhysicalIndex(i)]);
-      }
-    }
-  } else {
-    // bf16 -> fp32 widening (exact).
-    float* dst = impl->storage->data();
-    const uint16_t* s = src.bf16_data();
-    if (src.is_contiguous()) {
-      for (int64_t i = 0; i < n; ++i) dst[i] = F32FromBf16(s[i]);
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        dst[i] = F32FromBf16(s[src.PhysicalIndex(i)]);
-      }
-    }
-  }
-  return Tensor(std::move(impl));
-}
-
-Tensor WidenToF32(const Tensor& x) {
-  if (!x.defined() || x.dtype() == DType::kF32) return x;
-  return To(x, DType::kF32);
 }
 
 // ---- NN primitives ------------------------------------------------------------------

@@ -116,23 +116,8 @@ Tensor Min(const Tensor& x, int dim, bool keepdim = false);
 // ---- Linear algebra -----------------------------------------------------------
 
 // Batched matrix multiply: a [..., m, k] @ b [..., k, n] -> [..., m, n].
-// Leading (batch) dimensions broadcast. Operands may be bf16 on the no-grad
-// serving path (widened to fp32 inside the GEMM packing; the result is
-// always fp32); recording through a bf16 operand is a checked error.
+// Leading (batch) dimensions broadcast.
 Tensor MatMul(const Tensor& a, const Tensor& b);
-
-// ---- Dtype conversion ----------------------------------------------------------
-
-// Storage-format conversion between fp32 and bf16 (tensor/dtype.h):
-// fp32 -> bf16 rounds to nearest-even, bf16 -> fp32 widens exactly. Returns
-// the same handle when the dtype already matches. Not differentiable —
-// calling it on a tensor autograd is recording is a checked error; Detach()
-// first or convert under NoGradGuard (the serving path).
-Tensor To(const Tensor& x, DType dtype);
-
-// Identity for fp32 (same handle, so the training path is untouched);
-// otherwise To(x, kF32). Undefined tensors pass through (optional biases).
-Tensor WidenToF32(const Tensor& x);
 
 // ---- Neural-network primitives --------------------------------------------------
 

@@ -55,14 +55,10 @@ BufferPool::BufferPool() {
       !kSanitizerBuild && GetEnvOr("STSM_POOL", 1) != 0;
 }
 
-std::vector<float> BufferPool::AcquireBytes(int64_t bytes, bool zero) {
-  STSM_CHECK_GE(bytes, 0);
-  if (bytes == 0) return {};
-  // The carrier vector is float-typed; round the byte request up to whole
-  // floats (a bf16 Storage with an odd element count over-allocates by at
-  // most 2 bytes).
-  const int64_t n = (bytes + static_cast<int64_t>(sizeof(float)) - 1) /
-                    static_cast<int64_t>(sizeof(float));
+std::vector<float> BufferPool::Acquire(int64_t n, bool zero) {
+  STSM_CHECK_GE(n, 0);
+  if (n == 0) return {};
+  const int64_t bytes = n * static_cast<int64_t>(sizeof(float));
   std::vector<float> buffer;
   bool hit = false;
   {
@@ -95,10 +91,8 @@ std::vector<float> BufferPool::AcquireBytes(int64_t bytes, bool zero) {
   } else {
     // Fresh allocation, rounded up to the bucket's byte size so the buffer
     // recycles cleanly (capacity stays in its class across resize calls).
-    // Requests below one float still get a one-float carrier.
     const size_t bucket_floats =
-        std::max<size_t>(1, (size_t{1} << BucketForRequest(bytes)) /
-                                sizeof(float));
+        (size_t{1} << BucketForRequest(bytes)) / sizeof(float);
     buffer.reserve(bucket_floats);
     buffer.resize(static_cast<size_t>(n), 0.0f);
   }

@@ -3,14 +3,9 @@
 //
 // Training loops allocate and drop the same handful of buffer sizes every
 // step (op outputs, gradient buffers, saved activations released during the
-// backward walk). The pool keeps freed buffers in power-of-two *byte* size
+// backward walk). The pool keeps freed buffers in power-of-two byte size
 // buckets and hands them back on the next request of a compatible size, so
-// steady state training performs almost no malloc/free traffic. Bucketing on
-// bytes (not element counts) lets the same free lists serve every Storage
-// dtype: an fp32 request for n elements and a bf16 request for 2n elements
-// land in the same class. Buffers are carried as std::vector<float> (the
-// historical type, and what Storage hands back on destruction); a bf16
-// Storage simply reinterprets the byte range — see tensor/storage.h.
+// steady state training performs almost no malloc/free traffic.
 //
 // Thread-safety contract: every public member function may be called from
 // any thread concurrently; the pool serialises free-list access with a
@@ -62,19 +57,11 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // Returns a buffer covering at least `bytes` bytes (size() ==
-  // ceil(bytes / 4) floats). When `zero` is set the content is all zeros;
-  // otherwise it is unspecified (fully-overwriting ops skip the zero-fill).
-  // bytes == 0 returns an empty vector without touching the pool.
-  std::vector<float> AcquireBytes(int64_t bytes, bool zero)
-      STSM_EXCLUDES(mutex_);
-
-  // Element-count convenience for fp32 callers: exactly
-  // AcquireBytes(n * sizeof(float), zero), so an fp32 request hits the same
-  // byte bucket it always did.
-  std::vector<float> Acquire(int64_t n, bool zero) STSM_EXCLUDES(mutex_) {
-    return AcquireBytes(n * static_cast<int64_t>(sizeof(float)), zero);
-  }
+  // Returns a buffer of exactly `n` floats. When `zero` is set the content
+  // is all zeros; otherwise it is unspecified (fully-overwriting ops skip
+  // the zero-fill). n == 0 returns an empty vector without touching the
+  // pool.
+  std::vector<float> Acquire(int64_t n, bool zero) STSM_EXCLUDES(mutex_);
 
   // Returns a buffer to the pool. Recycles it into a free list when
   // recycling is on and the cache cap is not exceeded; frees it otherwise.
@@ -113,8 +100,8 @@ class BufferPool {
 
  private:
   // One free list per power-of-two byte-capacity class. Bucket b holds
-  // buffers with byte capacity in [2^b, 2^(b+1)); AcquireBytes(s) looks in
-  // the first bucket whose every member is guaranteed to fit s, i.e.
+  // buffers with byte capacity in [2^b, 2^(b+1)); a request of s bytes looks
+  // in the first bucket whose every member is guaranteed to fit s, i.e.
   // ceil(log2(s)), and at most kMaxWasteClasses above it — a small request
   // must not hog a much larger cached buffer that a later large request
   // would then miss.

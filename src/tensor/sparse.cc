@@ -119,24 +119,16 @@ void EnsureTransposePlan(CsrImpl* a) {
 // differential tests bitwise, not tolerance-bounded (the oracle reads a
 // dense matrix but is NOT the packed GEMM — flop order differs there).
 
-// Widening value loads: fp32 values pass through, bf16 bit patterns widen
-// exactly. The accumulation is fp32 for either storage type.
-inline float WidenValue(float v) { return v; }
-inline float WidenValue(uint16_t v) { return F32FromBf16(v); }
-
 // Y[i, :] = sum_p values[p] * X[col_idx[p], :] for rows in [row_begin,
-// row_end); Y rows are fully overwritten (empty rows become zeros). VT is
-// the storage type of the values array (float, or uint16_t bf16 patterns on
-// the serving path); the fp32 instantiation is the historical kernel.
-template <typename VT>
+// row_end); Y rows are fully overwritten (empty rows become zeros).
 void SpmmRowsKernel(const int32_t* row_ptr, const int32_t* col_idx,
-                    const VT* values, const float* x, float* y,
+                    const float* values, const float* x, float* y,
                     int64_t row_begin, int64_t row_end, int64_t c) {
   for (int64_t i = row_begin; i < row_end; ++i) {
     float* yrow = y + i * c;
     std::fill(yrow, yrow + c, 0.0f);
     for (int32_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const float aval = WidenValue(values[p]);
+      const float aval = values[p];
       const float* xrow = x + static_cast<int64_t>(col_idx[p]) * c;
       for (int64_t cc = 0; cc < c; ++cc) yrow[cc] += aval * xrow[cc];
     }
@@ -299,41 +291,6 @@ const float* SparseCsr::values() const {
   return impl_->values->data();
 }
 
-DType SparseCsr::values_dtype() const {
-  STSM_CHECK(defined());
-  return impl_->values->dtype();
-}
-
-const uint16_t* SparseCsr::values_bf16() const {
-  STSM_CHECK(defined());
-  return impl_->values->bf16_data();
-}
-
-SparseCsr SparseCsr::CastValues(DType dtype) const {
-  STSM_CHECK(defined());
-  if (values_dtype() == dtype) return *this;
-  auto impl = std::make_shared<CsrImpl>();
-  impl->rows = impl_->rows;
-  impl->cols = impl_->cols;
-  impl->nnz = impl_->nnz;
-  // Indices are shared (immutable after construction); only the values
-  // array is re-stored. The transpose plan is not carried over — it is a
-  // training-path (backward) artifact and bf16 values never record.
-  impl->row_ptr = impl_->row_ptr;
-  impl->col_idx = impl_->col_idx;
-  impl->values = Storage::New(impl_->nnz, dtype, /*zero=*/false);
-  if (dtype == DType::kBf16) {
-    const float* src = impl_->values->data();
-    uint16_t* dst = impl->values->bf16_data();
-    for (int64_t p = 0; p < impl_->nnz; ++p) dst[p] = Bf16FromF32(src[p]);
-  } else {
-    const uint16_t* src = impl_->values->bf16_data();
-    float* dst = impl->values->data();
-    for (int64_t p = 0; p < impl_->nnz; ++p) dst[p] = F32FromBf16(src[p]);
-  }
-  return SparseCsr(std::move(impl));
-}
-
 SparseCsr SparseCsr::FromParts(int64_t rows, int64_t cols,
                                const std::vector<int32_t>& row_ptr,
                                const std::vector<int32_t>& col_idx,
@@ -446,33 +403,22 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
   ImplPtr result =
       internal::MakeResult(out_shape, {xc.impl()}, /*zero=*/false);
 
-  // bf16 values are a serving-only storage format: the backward plan widens
-  // nothing, so recording through reduced-precision weights is refused.
-  STSM_CHECK(!result->requires_grad || a.values_dtype() == DType::kF32)
-      << "Spmm over bf16 values is forward-only; run under NoGradGuard";
-
   const int32_t* rp = a.row_ptr();
   const int32_t* ci = a.col_idx();
   const float* xd = xc.data();
   float* out = result->data();
   const int64_t batches = x.numel() / (m * c);
   const int64_t blocks = (n + kSpmmRowBlock - 1) / kSpmmRowBlock;
-  auto run_rows = [&](const auto* av) {
-    ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
-      for (int64_t t = begin; t < end; ++t) {
-        const int64_t batch = t / blocks;
-        const int64_t i0 = (t % blocks) * kSpmmRowBlock;
-        const int64_t i1 = std::min(n, i0 + kSpmmRowBlock);
-        SpmmRowsKernel(rp, ci, av, xd + batch * m * c, out + batch * n * c,
-                       i0, i1, c);
-      }
-    });
-  };
-  if (a.values_dtype() == DType::kBf16) {
-    run_rows(a.values_bf16());
-  } else {
-    run_rows(a.values());
-  }
+  const float* av = a.values();
+  ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
+    for (int64_t t = begin; t < end; ++t) {
+      const int64_t batch = t / blocks;
+      const int64_t i0 = (t % blocks) * kSpmmRowBlock;
+      const int64_t i1 = std::min(n, i0 + kSpmmRowBlock);
+      SpmmRowsKernel(rp, ci, av, xd + batch * m * c, out + batch * n * c, i0,
+                     i1, c);
+    }
+  });
   STSM_PROF_COUNT("sparse.spmm_rows", static_cast<uint64_t>(batches * n));
   STSM_PROF_COUNT("sparse.spmm_flops",
                   static_cast<uint64_t>(2 * batches * a.nnz() * c));
@@ -551,19 +497,6 @@ Tensor Adjacency::Apply(const Tensor& x) const {
 Tensor Adjacency::ToDenseTensor() const {
   STSM_CHECK(defined());
   return is_sparse() ? sparse_.ToDense() : dense_;
-}
-
-DType Adjacency::values_dtype() const {
-  STSM_CHECK(defined());
-  return is_sparse() ? sparse_.values_dtype() : dense_.dtype();
-}
-
-Adjacency Adjacency::Cast(DType dtype) const {
-  STSM_CHECK(defined());
-  if (is_sparse()) return Adjacency(sparse_.CastValues(dtype));
-  // Detach: the adjacency is a constant; Cast must work regardless of grad
-  // mode, and To() refuses recorded tensors.
-  return Adjacency(To(dense_.Detach(), dtype));
 }
 
 }  // namespace stsm

@@ -71,20 +71,7 @@ class SparseCsr {
   // Raw CSR arrays. Valid while this handle (or a copy) is alive.
   const int32_t* row_ptr() const;
   const int32_t* col_idx() const;
-  // fp32 values accessor (checked when the values are stored as bf16).
   const float* values() const;
-
-  // Element type of the values array. Indices are always int32; kBf16
-  // values exist only on the no-grad serving path (see CastValues).
-  DType values_dtype() const;
-  // bf16 values accessor (checked; widen via F32FromBf16).
-  const uint16_t* values_bf16() const;
-
-  // Returns a matrix sharing this one's row_ptr/col_idx storage with the
-  // values converted to `dtype` (RNE narrowing / exact widening; same handle
-  // when the dtype already matches). Serving-path only: Spmm over bf16
-  // values is forward-only — recording through it is a checked error.
-  SparseCsr CastValues(DType dtype) const;
 
   const std::shared_ptr<internal::CsrImpl>& impl() const { return impl_; }
 
@@ -134,13 +121,6 @@ class Adjacency {
 
   // The adjacency as a dense tensor (materialises when sparse).
   Tensor ToDenseTensor() const;
-
-  // Storage dtype of the adjacency weights (dense tensor or CSR values).
-  DType values_dtype() const;
-
-  // The adjacency with its weights converted to `dtype` (dense: To();
-  // sparse: SparseCsr::CastValues). Serving-path only, like CastValues.
-  Adjacency Cast(DType dtype) const;
 
  private:
   Tensor dense_;

@@ -17,28 +17,20 @@ uint64_t Storage::GradAllocations() {
   return g_grad_allocations.load(std::memory_order_relaxed);
 }
 
-Storage::Storage(Private, std::vector<float> data, DType dtype, int64_t size,
-                 bool adopted)
-    : data_(std::move(data)), dtype_(dtype), size_(size) {
+Storage::Storage(Private, std::vector<float> data, bool adopted)
+    : data_(std::move(data)) {
   // Empty buffers never reach Release, so don't count them as live.
   if (adopted && data_.capacity() > 0) BufferPool::Instance().RecordAdopt();
 }
 
 std::shared_ptr<Storage> Storage::New(int64_t size, bool zero) {
-  return New(size, DType::kF32, zero);
-}
-
-std::shared_ptr<Storage> Storage::New(int64_t size, DType dtype, bool zero) {
-  const int64_t bytes = size * static_cast<int64_t>(ElementSize(dtype));
   return std::make_shared<Storage>(
-      Private{}, BufferPool::Instance().AcquireBytes(bytes, zero), dtype,
-      size, /*adopted=*/false);
+      Private{}, BufferPool::Instance().Acquire(size, zero), /*adopted=*/false);
 }
 
 std::shared_ptr<Storage> Storage::Adopt(std::vector<float> values) {
-  const int64_t size = static_cast<int64_t>(values.size());
-  return std::make_shared<Storage>(Private{}, std::move(values), DType::kF32,
-                                   size, /*adopted=*/true);
+  return std::make_shared<Storage>(Private{}, std::move(values),
+                                   /*adopted=*/true);
 }
 
 Storage::~Storage() {
@@ -48,8 +40,6 @@ Storage::~Storage() {
 
 void Storage::EnsureGrad() {
   if (grad_ == nullptr && !data_.empty()) {
-    STSM_CHECK(dtype_ == DType::kF32)
-        << "gradients are fp32-only; a bf16 tensor cannot EnsureGrad";
     grad_ = Storage::New(size(), /*zero=*/true);
     g_grad_allocations.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,23 +1,15 @@
 // Storage: the ref-counted buffer block behind one or more TensorImpls.
 //
-// A Storage owns a contiguous data buffer of `size()` elements of a single
-// element type (`dtype()`, fp32 by default) and, once gradients are needed,
-// a parallel fp32 grad buffer of the same element count. Zero-copy views
-// (Reshape / Squeeze / Unsqueeze / Detach / contiguous Slice) are separate
-// TensorImpls pointing at the same Storage with their own shape and element
-// offset; because the grad buffer lives here too, gradient accumulation
-// into a view lands directly in the base tensor's gradient at the view's
-// offset — no scatter pass is needed.
+// A Storage owns a contiguous fp32 data buffer of `size()` elements and,
+// once gradients are needed, a parallel grad buffer of the same size.
+// Zero-copy views (Reshape / Squeeze / Unsqueeze / Detach / contiguous
+// Slice) are separate TensorImpls pointing at the same Storage with their
+// own shape and element offset; because the grad buffer lives here too,
+// gradient accumulation into a view lands directly in the base tensor's
+// gradient at the view's offset — no scatter pass is needed.
 //
-// Dtype contract: data() is the fp32 accessor and is checked — code that
-// blindly walks floats cannot silently reinterpret bf16 bits. bf16 storage
-// (the no-grad serving path; see tensor/dtype.h) goes through bf16_data(),
-// and dtype-generic code uses raw() + byte_size(). Gradients are fp32-only:
-// EnsureGrad on a bf16 Storage is a checked error.
-//
-// Buffers come from (and return to) the process-wide BufferPool, which
-// buckets on bytes, so dropping a Storage during the backward walk recycles
-// its memory for the next op regardless of either tensor's dtype.
+// Buffers come from (and return to) the process-wide BufferPool, so dropping
+// a Storage during the backward walk recycles its memory for the next op.
 
 #ifndef STSM_TENSOR_STORAGE_H_
 #define STSM_TENSOR_STORAGE_H_
@@ -25,9 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "common/check.h"
-#include "tensor/dtype.h"
 
 namespace stsm {
 
@@ -39,59 +28,26 @@ void RecordPoolProfCounters();
 
 class Storage {
  public:
-  // Pool-backed fp32 buffer of `size` elements (zero-filled unless `zero` is
+  // Pool-backed buffer of `size` elements (zero-filled unless `zero` is
   // false, in which case the content is unspecified and the caller must
   // overwrite every element).
   static std::shared_ptr<Storage> New(int64_t size, bool zero = true);
 
-  // Pool-backed buffer of `size` elements of `dtype`. Zero bits are the
-  // zero value for both supported dtypes.
-  static std::shared_ptr<Storage> New(int64_t size, DType dtype,
-                                      bool zero = true);
-
-  // Adopts an existing vector without copying (Tensor::FromVector). fp32.
+  // Adopts an existing vector without copying (Tensor::FromVector).
   static std::shared_ptr<Storage> Adopt(std::vector<float> values);
 
   ~Storage();
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  // Element count (not bytes).
-  int64_t size() const { return size_; }
-  DType dtype() const { return dtype_; }
-  int64_t byte_size() const {
-    return size_ * static_cast<int64_t>(ElementSize(dtype_));
-  }
-
-  // fp32 element accessor. Checked: calling it on a bf16 Storage is a bug
-  // (the caller would walk bf16 bit pairs as floats).
-  float* data() {
-    STSM_CHECK(dtype_ == DType::kF32) << "fp32 data() on a bf16 Storage";
-    return data_.data();
-  }
-  const float* data() const {
-    STSM_CHECK(dtype_ == DType::kF32) << "fp32 data() on a bf16 Storage";
-    return data_.data();
-  }
-
-  // bf16 element accessor (bit patterns; widen via F32FromBf16).
-  uint16_t* bf16_data() {
-    STSM_CHECK(dtype_ == DType::kBf16) << "bf16_data() on an fp32 Storage";
-    return reinterpret_cast<uint16_t*>(data_.data());
-  }
-  const uint16_t* bf16_data() const {
-    STSM_CHECK(dtype_ == DType::kBf16) << "bf16_data() on an fp32 Storage";
-    return reinterpret_cast<const uint16_t*>(data_.data());
-  }
-
-  // Dtype-generic byte access for conversion kernels and serialization.
-  void* raw() { return data_.data(); }
-  const void* raw() const { return data_.data(); }
+  int64_t size() const { return static_cast<int64_t>(data_.size()); }
+  float* data() { return data_.data(); }
+  const float* data() const { return data_.data(); }
 
   // Gradient buffer management. The grad buffer covers the whole storage
-  // (all views share it), is always fp32, and is zero-initialised on first
-  // allocation. It is itself a Storage so that a parameter's gradient can be
-  // wrapped in a Tensor (Tensor::GradView) and fed to the in-place ops.
+  // (all views share it) and is zero-initialised on first allocation. It is
+  // itself a Storage so that a parameter's gradient can be wrapped in a
+  // Tensor (Tensor::GradView) and fed to the in-place ops.
   bool has_grad() const { return grad_ != nullptr; }
   void EnsureGrad();
 
@@ -110,13 +66,10 @@ class Storage {
   struct Private {};  // make_shared-able but only via the factories.
 
  public:
-  Storage(Private, std::vector<float> data, DType dtype, int64_t size,
-          bool adopted);
+  Storage(Private, std::vector<float> data, bool adopted);
 
  private:
-  std::vector<float> data_;  // Byte carrier; see BufferPool.
-  DType dtype_ = DType::kF32;
-  int64_t size_ = 0;  // Element count under dtype_.
+  std::vector<float> data_;
   std::shared_ptr<Storage> grad_;
 };
 

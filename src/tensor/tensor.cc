@@ -83,11 +83,6 @@ const Shape& Tensor::shape() const {
   return impl_->shape;
 }
 
-DType Tensor::dtype() const {
-  STSM_CHECK(defined());
-  return impl_->dtype();
-}
-
 float* Tensor::data() {
   STSM_CHECK(defined());
   return impl_->data();
@@ -152,8 +147,6 @@ Tensor& Tensor::set_requires_grad(bool value) {
   STSM_CHECK(defined());
   STSM_CHECK(impl_->is_leaf())
       << "set_requires_grad is only valid on leaf tensors";
-  STSM_CHECK(!value || impl_->dtype() == DType::kF32)
-      << "training is fp32-only: a bf16 tensor cannot require gradients";
   impl_->requires_grad = value;
   return *this;
 }
@@ -287,17 +280,8 @@ Tensor Tensor::Clone() const {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = impl_->shape;
   impl->strides = impl_->shape.Strides();  // A clone is always compact.
-  impl->storage = Storage::New(n, impl_->dtype(), /*zero=*/false);
-  if (impl_->dtype() == DType::kBf16) {
-    // bf16 clone copies bit patterns; no widening round trip.
-    uint16_t* dst = impl->storage->bf16_data();
-    const uint16_t* src = impl_->bf16_data();
-    if (impl_->is_contiguous()) {
-      std::memcpy(dst, src, sizeof(uint16_t) * static_cast<size_t>(n));
-    } else {
-      for (int64_t i = 0; i < n; ++i) dst[i] = src[impl_->PhysicalIndex(i)];
-    }
-  } else if (impl_->is_contiguous()) {
+  impl->storage = Storage::New(n, /*zero=*/false);
+  if (impl_->is_contiguous()) {
     std::memcpy(impl->storage->data(), impl_->data(),
                 sizeof(float) * static_cast<size_t>(n));
   } else {
@@ -320,17 +304,14 @@ std::string Tensor::ToString() const {
   if (!defined()) return "Tensor(undefined)";
   std::ostringstream out;
   out << "Tensor" << shape().ToString();
-  if (impl_->dtype() != DType::kF32) out << " " << DTypeName(impl_->dtype());
   out << " [";
   const int64_t preview = std::min<int64_t>(numel(), 8);
   const bool contig = impl_->is_contiguous();
-  const bool bf16 = impl_->dtype() == DType::kBf16;
-  const float* d = bf16 ? nullptr : impl_->data();
-  const uint16_t* h = bf16 ? impl_->bf16_data() : nullptr;
+  const float* d = impl_->data();
   for (int64_t i = 0; i < preview; ++i) {
     if (i > 0) out << ", ";
     const int64_t p = contig ? i : impl_->PhysicalIndex(i);
-    out << (bf16 ? F32FromBf16(h[p]) : d[p]);
+    out << d[p];
   }
   if (numel() > preview) out << ", ...";
   out << "]";
@@ -354,17 +335,7 @@ std::shared_ptr<TensorImpl> MakeResult(
   impl->shape = shape;
   impl->strides = shape.Strides();
   impl->storage = Storage::New(shape.numel(), zero);
-  if (ShouldRecord(inputs)) {
-    // Training is fp32-only: recording an op over a bf16 operand would bake
-    // rounded weights into the graph. Serving runs under NoGradGuard, which
-    // is what legitimises bf16 operands in the first place.
-    for (const auto& input : inputs) {
-      STSM_CHECK(input == nullptr || input->dtype() == DType::kF32)
-          << "autograd node creation on a bf16 tensor; wrap the forward in "
-             "NoGradGuard (serving) or keep the operand fp32 (training)";
-    }
-    impl->requires_grad = true;
-  }
+  if (ShouldRecord(inputs)) impl->requires_grad = true;
   return impl;
 }
 
@@ -387,8 +358,6 @@ std::shared_ptr<TensorImpl> MakeView(const std::shared_ptr<TensorImpl>& base,
   impl->storage = base->storage;
   impl->offset = offset;
   if (ShouldRecord({base})) {
-    STSM_CHECK(base->dtype() == DType::kF32)
-        << "autograd node creation on a bf16 tensor (view)";
     impl->requires_grad = true;
     impl->grad_fn = std::make_shared<autograd::ViewNode>(base);
   }

@@ -63,29 +63,8 @@ struct TensorImpl {
   // tensors, detached tensors, and anything built with recording off).
   std::shared_ptr<autograd::Node> grad_fn;
 
-  // Element type of the underlying storage. fp32 everywhere except the
-  // no-grad serving path (see tensor/dtype.h); a view has its base's dtype.
-  DType dtype() const { return storage->dtype(); }
-
-  // fp32 element pointers (checked — see Storage::data()). bf16 tensors are
-  // storage-only: kernels widen through raw()/bf16_data() at the point of
-  // use instead of walking floats.
   float* data() { return storage->data() + offset; }
   const float* data() const { return storage->data() + offset; }
-
-  // Dtype-generic byte pointer to this tensor's first element.
-  void* raw() {
-    return static_cast<char*>(storage->raw()) +
-           offset * static_cast<int64_t>(ElementSize(dtype()));
-  }
-  const void* raw() const {
-    return static_cast<const char*>(storage->raw()) +
-           offset * static_cast<int64_t>(ElementSize(dtype()));
-  }
-
-  // bf16 element pointer (checked).
-  uint16_t* bf16_data() { return storage->bf16_data() + offset; }
-  const uint16_t* bf16_data() const { return storage->bf16_data() + offset; }
 
   // True when the logical element order coincides with the physical layout:
   // stride[d] == product(shape[d+1:]) for every dimension with size > 1.
@@ -154,9 +133,6 @@ class Tensor {
 
   bool defined() const { return impl_ != nullptr; }
   const Shape& shape() const;
-  // Storage element type. All factories build fp32; bf16 tensors come only
-  // from To(DType) on the serving path.
-  DType dtype() const;
   int ndim() const { return shape().ndim(); }
   int64_t numel() const { return shape().numel(); }
   int64_t size(int dim) const { return shape()[dim]; }

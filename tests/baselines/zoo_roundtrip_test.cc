@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
+#include "temp_path.h"
 
 namespace stsm {
 namespace {
@@ -33,7 +34,7 @@ std::vector<ModelKind> AllKinds() {
 }
 
 TEST(ZooRoundTripTest, EveryModelKindRoundTripsBitwise) {
-  const std::string path = "/tmp/stsm_zoo_roundtrip.bin";
+  const std::string path = TempPath("stsm_zoo_roundtrip.bin");
   const int num_nodes = 12;
   const uint64_t probe_seed = 77;
   for (ModelKind kind : AllKinds()) {
@@ -60,7 +61,7 @@ TEST(ZooRoundTripTest, EveryModelKindRoundTripsBitwise) {
 }
 
 TEST(ZooRoundTripTest, LoadRejectsMismatchedArchitecture) {
-  const std::string path = "/tmp/stsm_zoo_mismatch.bin";
+  const std::string path = TempPath("stsm_zoo_mismatch.bin");
   const StsmConfig config = SmallConfig();
   const ZooNetwork small = MakeZooNetwork(ModelKind::kStsm, config, 12);
   ASSERT_TRUE(SaveModule(*small.module, path));

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "temp_path.h"
 
 namespace stsm {
 namespace {
@@ -38,7 +39,7 @@ TEST(TableTest, CsvQuotesSpecialCharacters) {
 TEST(TableTest, WriteCsvRoundTrip) {
   Table table({"h"});
   table.AddRow({"v"});
-  const std::string path = "/tmp/stsm_table_test.csv";
+  const std::string path = TempPath("stsm_table_test.csv");
   ASSERT_TRUE(table.WriteCsv(path));
   std::ifstream file(path);
   std::stringstream buffer;

@@ -9,6 +9,7 @@
 #include "data/splits.h"
 #include "data/svg_map.h"
 #include "gtest/gtest.h"
+#include "temp_path.h"
 
 namespace stsm {
 namespace {
@@ -28,7 +29,7 @@ SpatioTemporalDataset TinyDataset() {
 class CsvIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    directory_ = "/tmp/stsm_csv_io_test";
+    directory_ = TempPath("stsm_csv_io_test");
     std::filesystem::create_directories(directory_);
   }
   void TearDown() override { std::filesystem::remove_all(directory_); }
@@ -63,7 +64,7 @@ TEST_F(CsvIoTest, RoundTripPreservesEverything) {
 }
 
 TEST_F(CsvIoTest, MissingDirectoryFails) {
-  EXPECT_FALSE(LoadDatasetCsv("/tmp/stsm_no_such_dir_xyz").has_value());
+  EXPECT_FALSE(LoadDatasetCsv(TempPath("stsm_no_such_dir_xyz")).has_value());
 }
 
 TEST_F(CsvIoTest, DimensionMismatchRejected) {
@@ -117,7 +118,7 @@ TEST(SvgMapTest, TitleRendered) {
 
 TEST(SvgMapTest, WriteSvgCreatesFile) {
   const auto dataset = TinyDataset();
-  const std::string path = "/tmp/stsm_svg_test.svg";
+  const std::string path = TempPath("stsm_svg_test.svg");
   ASSERT_TRUE(WriteSvg(RenderSensorMapSvg(dataset.coords), path));
   std::ifstream file(path);
   EXPECT_TRUE(file.good());

@@ -4,10 +4,12 @@
 // unload/hot-swap transitions (including the TSan-exercised
 // replace-while-Find race), and ServerConfig construction validation.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -25,6 +27,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/sharding.h"
+#include "temp_path.h"
 
 namespace stsm {
 namespace serve {
@@ -38,9 +41,9 @@ struct NetFixture {
   ModelSpec spec_tcn;     // "stsm": TCN temporal module.
   ModelSpec spec_trans;   // "stsm-trans": transformer temporal module.
   ModelSpec spec_tcn_v2;  // Same name, different weights: the hot-swap spec.
-  std::string ckpt_tcn = "/tmp/stsm_net_test_tcn.bin";
-  std::string ckpt_trans = "/tmp/stsm_net_test_trans.bin";
-  std::string ckpt_tcn_v2 = "/tmp/stsm_net_test_tcn_v2.bin";
+  std::string ckpt_tcn = TempPath("stsm_net_test_tcn.bin");
+  std::string ckpt_trans = TempPath("stsm_net_test_trans.bin");
+  std::string ckpt_tcn_v2 = TempPath("stsm_net_test_tcn_v2.bin");
 };
 
 NetFixture& Fixture() {
@@ -210,7 +213,7 @@ TEST(ModelRegistryTest, LoadReportsThePreviousEntryHealthTransition) {
   EXPECT_EQ(swap.previous, EntryHealth::kHealthy);
 
   ModelSpec broken = f.spec_tcn;
-  broken.checkpoint_path = "/tmp/stsm_net_test_missing.bin";
+  broken.checkpoint_path = TempPath("stsm_net_test_missing.bin");
   const LoadResult regression = registry.Load(broken);
   EXPECT_FALSE(regression.healthy);
   EXPECT_EQ(regression.previous, EntryHealth::kHealthy);
@@ -404,6 +407,33 @@ TEST(NetIngressTest, UnknownModelAnsweredOverTheWire) {
   EXPECT_EQ(response.response.status, Status::kError);
   EXPECT_NE(response.response.message.find("unknown model"),
             std::string::npos);
+}
+
+TEST(NetIngressTest, NonFiniteWindowsAnsweredWithErrorOverTheWire) {
+  LoopbackServer server;
+  net::NetClient client = server.Connect();
+  std::string error;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  net::RequestFrame all_nan = MakeFrame(1, "stsm", 2);
+  std::fill(all_nan.request.window.begin(), all_nan.request.window.end(), nan);
+  net::RequestFrame one_nan = MakeFrame(2, "stsm", 2);
+  one_nan.request.window[3] = nan;
+  net::RequestFrame one_inf = MakeFrame(3, "stsm-trans", 2);
+  one_inf.request.window.back() = std::numeric_limits<float>::infinity();
+  for (const net::RequestFrame* frame : {&all_nan, &one_nan, &one_inf}) {
+    ASSERT_TRUE(client.SendRequest(*frame, &error)) << error;
+    net::ResponseFrame response;
+    ASSERT_TRUE(client.ReadResponse(&response, &error)) << error;
+    EXPECT_EQ(response.id, frame->id);
+    EXPECT_EQ(response.response.status, Status::kError);
+    EXPECT_EQ(response.response.message, "non-finite window");
+    EXPECT_TRUE(response.response.forecast.empty());
+  }
+  uint64_t errors = 0;
+  for (int k = 0; k < server.sharded.num_shards(); ++k) {
+    errors += server.sharded.shard_stats(k).errors;
+  }
+  EXPECT_EQ(errors, 3u);
 }
 
 TEST(NetIngressTest, GarbageBytesCloseTheConnection) {

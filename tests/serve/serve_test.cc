@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,8 +21,8 @@
 #include "serve/queue.h"
 #include "serve/registry.h"
 #include "tensor/autograd.h"
-#include "tensor/dtype.h"
 #include "tensor/storage.h"
+#include "temp_path.h"
 
 namespace stsm {
 namespace serve {
@@ -60,6 +61,9 @@ TEST(ForecastCacheTest, KeyDistinguishesAllComponents) {
   EXPECT_FALSE(cache.Lookup(CacheKey{"m", 8, 3, {1, 2}}, &out));
   EXPECT_FALSE(cache.Lookup(CacheKey{"m", 7, 4, {1, 2}}, &out));
   EXPECT_FALSE(cache.Lookup(CacheKey{"m", 7, 3, {2, 1}}, &out));
+  CacheKey newer = base;
+  newer.generation = base.generation + 1;
+  EXPECT_FALSE(cache.Lookup(newer, &out));
   EXPECT_TRUE(cache.Lookup(base, &out));
 }
 
@@ -68,32 +72,37 @@ TEST(ForecastCacheTest, HashWindowSensitiveToValues) {
   EXPECT_EQ(HashWindow({1.0f, 2.0f}), HashWindow({1.0f, 2.0f}));
 }
 
-TEST(ForecastCacheTest, Bf16EntriesRoundTripAndHalvePayload) {
-  ForecastCache f32_cache(4);
-  ForecastCache bf16_cache(4, CacheProfNames{"t.hit", "t.miss", "t.evict"},
-                           DType::kBf16);
-  const CacheKey key{"m", 1, 0, {0}};
-  const std::vector<float> forecast = {1.0f, -2.5f, 0.333333f, 1e6f};
-  f32_cache.Insert(key, forecast);
-  bf16_cache.Insert(key, forecast);
-  // The fp32 cache returns the values verbatim; the bf16 cache returns the
-  // RNE-rounded values, widened — never raw bf16 bits.
+TEST(ForecastCacheTest, KeysWithOneWindowHashButDifferentWindowsDiffer) {
+  // The hash only picks the bucket: two keys that share it (a collision)
+  // must still differ when their windows do.
+  ForecastCache cache(8);
+  CacheKey a{"m", 42, 0, {0}};
+  a.window = {1.0f, 2.0f};
+  CacheKey b = a;
+  b.window = {1.0f, 3.0f};
+  ASSERT_EQ(a.window_hash, b.window_hash);
+  EXPECT_FALSE(a == b);
+  cache.Insert(a, {1.0f});
   std::vector<float> out;
-  ASSERT_TRUE(bf16_cache.Lookup(key, &out));
-  ASSERT_EQ(out.size(), forecast.size());
-  for (size_t i = 0; i < forecast.size(); ++i) {
-    EXPECT_EQ(out[i], F32FromBf16(Bf16FromF32(forecast[i]))) << i;
-    EXPECT_NEAR(out[i], forecast[i],
-                1e-2f * std::max(1.0f, std::fabs(forecast[i])));
-  }
-  // Payload accounting: bf16 entries hold exactly half the bytes.
-  EXPECT_EQ(f32_cache.stats().payload_bytes,
-            forecast.size() * sizeof(float));
-  EXPECT_EQ(bf16_cache.stats().payload_bytes,
-            forecast.size() * sizeof(uint16_t));
-  // Eviction and replacement keep the gauge exact.
-  bf16_cache.Insert(key, {1.0f, 2.0f});
-  EXPECT_EQ(bf16_cache.stats().payload_bytes, 2 * sizeof(uint16_t));
+  EXPECT_FALSE(cache.Lookup(b, &out));
+  ASSERT_TRUE(cache.Lookup(a, &out));
+  EXPECT_EQ(out, std::vector<float>{1.0f});
+}
+
+TEST(ForecastCacheTest, PayloadBytesGaugeTracksEntries) {
+  ForecastCache cache(1);
+  const CacheKey a{"m", 1, 0, {0}};
+  const CacheKey b{"m", 2, 0, {0}};
+  cache.Insert(a, {1.0f, -2.5f, 0.333333f});
+  std::vector<float> out;
+  ASSERT_TRUE(cache.Lookup(a, &out));
+  EXPECT_EQ(out, (std::vector<float>{1.0f, -2.5f, 0.333333f}));
+  EXPECT_EQ(cache.stats().payload_bytes, 3 * sizeof(float));
+  // Replacement and eviction keep the gauge exact.
+  cache.Insert(a, {1.0f, 2.0f});
+  EXPECT_EQ(cache.stats().payload_bytes, 2 * sizeof(float));
+  cache.Insert(b, {1.0f});
+  EXPECT_EQ(cache.stats().payload_bytes, sizeof(float));
 }
 
 // ---- Queue ----
@@ -151,7 +160,7 @@ struct ServeFixture {
   SpaceSplit split;
   ModelSpec spec;
   ModelRegistry registry;
-  std::string checkpoint = "/tmp/stsm_serve_test_ckpt.bin";
+  std::string checkpoint = TempPath("stsm_serve_test_ckpt.bin");
 };
 
 ServeFixture& Fixture() {
@@ -235,43 +244,6 @@ TEST(ModelSpecTest, SparseAdjacencyPredictsLikeDense) {
     const float d = dense_out.data()[i];
     EXPECT_NEAR(sparse_out.data()[i], d,
                 1e-5f * std::max(1.0f, std::fabs(d)))
-        << "element " << i;
-  }
-}
-
-TEST(ModelSpecTest, Bf16ServingParity) {
-  // The end-to-end tolerance gate of DESIGN.md §13: a bf16-served model
-  // (weights and adjacency values rounded, fp32 accumulation) must agree
-  // with the fp32-served model within 1e-2 relative — the same order as
-  // the paper's Table 4 metric resolution.
-  ServeFixture& f = Fixture();
-  StsmConfig bf16_config = f.config;
-  bf16_config.serve_dtype = DType::kBf16;
-  const ModelSpec bf16_spec = BuildModelSpec(
-      "stsm-bf16", f.dataset, f.split, bf16_config, f.checkpoint);
-  EXPECT_EQ(bf16_spec.adj_spatial.values_dtype(), DType::kBf16);
-  EXPECT_EQ(bf16_spec.adj_temporal.values_dtype(), DType::kBf16);
-
-  const auto f32_model = ServedModel::Load(f.spec);
-  const auto bf16_model = ServedModel::Load(bf16_spec);
-  ASSERT_TRUE(f32_model->healthy());
-  ASSERT_TRUE(bf16_model->healthy());
-  // Resident weights shrink by exactly 2x (every parameter converts).
-  EXPECT_EQ(f32_model->weight_bytes(), 2 * bf16_model->weight_bytes());
-
-  Rng rng(57);
-  const int n = f.dataset.num_nodes();
-  const Tensor inputs = Tensor::Uniform(
-      Shape({2, f.config.input_length, n, 1}), -1, 1, &rng);
-  const Tensor time_features =
-      Tensor::Uniform(Shape({2, f.config.input_length, 3}), -1, 1, &rng);
-  const Tensor f32_out = f32_model->Predict(inputs, time_features);
-  const Tensor bf16_out = bf16_model->Predict(inputs, time_features);
-  ASSERT_EQ(f32_out.shape(), bf16_out.shape());
-  for (int64_t i = 0; i < f32_out.numel(); ++i) {
-    const float expected = f32_out.data()[i];
-    EXPECT_NEAR(bf16_out.data()[i], expected,
-                1e-2f * std::max(1.0f, std::fabs(expected)))
         << "element " << i;
   }
 }
@@ -378,7 +350,7 @@ TEST(ForecastServerTest, UnhealthyModelDegradesInsteadOfFailing) {
   ModelRegistry registry;
   ModelSpec broken = f.spec;
   broken.name = "broken";
-  broken.checkpoint_path = "/tmp/stsm_serve_test_missing_ckpt.bin";
+  broken.checkpoint_path = TempPath("stsm_serve_test_missing_ckpt.bin");
   EXPECT_FALSE(registry.Load(broken).healthy);  // Load failure reported...
   ASSERT_NE(registry.Find("broken"), nullptr);  // ...but still registered.
   EXPECT_FALSE(registry.Find("broken")->healthy());
@@ -406,6 +378,64 @@ TEST(ForecastServerTest, StopAnswersAllAcceptedRequests) {
                 response.status == Status::kRejected)
         << StatusName(response.status);
   }
+}
+
+TEST(ForecastServerTest, NonFiniteWindowsAreRejected) {
+  ServeFixture& f = Fixture();
+  ForecastServer server(&f.registry, ServerConfig{});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  ForecastRequest all_nan = MakeRequest(f, 4);
+  std::fill(all_nan.window.begin(), all_nan.window.end(), nan);
+  ForecastRequest one_nan = MakeRequest(f, 4);
+  one_nan.window[one_nan.window.size() / 2] = nan;
+  ForecastRequest one_inf = MakeRequest(f, 4);
+  one_inf.window[0] = inf;
+  for (ForecastRequest* request : {&all_nan, &one_nan, &one_inf}) {
+    // Twice each: a rejected window must not have been cached either.
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const ForecastResponse response = server.SubmitAndWait(*request);
+      EXPECT_EQ(response.status, Status::kError);
+      EXPECT_EQ(response.message, "non-finite window");
+      EXPECT_FALSE(response.cache_hit);
+      EXPECT_TRUE(response.forecast.empty());
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.errors, 6u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.cache.misses, 0u);
+  EXPECT_EQ(stats.cache.payload_bytes, 0u);
+}
+
+TEST(ForecastServerTest, HotSwapNeverServesTheReplacedModelFromCache) {
+  // Load(A), query, Load(B) under the same name, the same query again: the
+  // answer must come from B, not from A's cache entry.
+  ServeFixture& f = Fixture();
+  const std::string checkpoint_b = TempPath("stsm_serve_test_ckpt_b.bin");
+  Rng init_rng(f.config.seed + 99);
+  ASSERT_TRUE(SaveModule(StModel(f.config, &init_rng), checkpoint_b));
+  ModelSpec spec_b = f.spec;
+  spec_b.checkpoint_path = checkpoint_b;
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load(f.spec).healthy);
+  ForecastServer server(&registry, ServerConfig{});
+  const ForecastResponse from_a = server.SubmitAndWait(MakeRequest(f, 6));
+  ASSERT_EQ(from_a.status, Status::kOk);
+  ASSERT_TRUE(server.SubmitAndWait(MakeRequest(f, 6)).cache_hit);
+
+  ASSERT_TRUE(registry.Load(spec_b).healthy);
+  const ForecastResponse from_b = server.SubmitAndWait(MakeRequest(f, 6));
+  std::remove(checkpoint_b.c_str());
+  ASSERT_EQ(from_b.status, Status::kOk);
+  EXPECT_FALSE(from_b.cache_hit);
+
+  ForecastServer direct(&registry, ServerConfig{});
+  const ForecastResponse expected = direct.SubmitAndWait(MakeRequest(f, 6));
+  ASSERT_EQ(expected.status, Status::kOk);
+  EXPECT_EQ(from_b.forecast, expected.forecast);
+  EXPECT_NE(from_b.forecast, from_a.forecast);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 Usage: check_pool_stats.py [--smoke-baseline] [--baselines FILE]
                            <profile.json> [serve_load.json]
        check_pool_stats.py --micro [--baselines FILE] <benchmark.json>
-       check_pool_stats.py --serve-bf16 [--baselines FILE]
-                           <profile.json> <serve_load.json>
 
 With --smoke-baseline, additionally asserts that pool.acquire stays below
 the checked-in smoke-bench ceiling (zero-copy views must allocate strictly
@@ -40,16 +38,7 @@ shard caches), and the open_loop section must show Poisson phases with
 monotonic tail percentiles, zero transport/server errors, zero malformed
 frames, at least one mid-load checkpoint hot-swap, zero requests failed by
 the swaps, and (at smoke scale) a p99 under the serve.open_loop.p99_ms
-ceiling in bench/baselines.json. Every serve check also asserts the
-measured bf16 weight-compression ratio (weights.bf16_weight_ratio in
-serve_load.json) stays at or above the serve.bf16.weight_ratio floor in
-bench/baselines.json.
-
-With --serve-bf16, the run under check is a reduced-precision serving run
-(bench_serve_load --smoke --open-loop with STSM_SERVE_DTYPE=bf16): the
-report must say serve_dtype "bf16", must contain zero degraded and zero
-errored requests end to end, and is held to the same open-loop and
-weight-ratio bars.
+ceiling in bench/baselines.json.
 
 Exit status 0 on success; 1 with a diagnostic on failure. Stdlib only.
 """
@@ -81,24 +70,6 @@ def load_baseline(path, scale, counter):
     except (KeyError, TypeError, ValueError):
         print(f"FAIL: {path} has no usable entry for "
               f"[{scale!r}][{counter!r}]['max']", file=sys.stderr)
-        sys.exit(1)
-
-
-def load_floor(path, section, key):
-    """Returns the floor (a 'min' entry) for [section][key], or exits loudly
-    — same rationale as load_baseline."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            baselines = json.load(f)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"FAIL: cannot load baselines from {path}: {error}",
-              file=sys.stderr)
-        sys.exit(1)
-    try:
-        return float(baselines[section][key]["min"])
-    except (KeyError, TypeError, ValueError):
-        print(f"FAIL: {path} has no usable entry for "
-              f"[{section!r}][{key!r}]['min']", file=sys.stderr)
         sys.exit(1)
 
 
@@ -314,62 +285,6 @@ def check_serve_open_loop(path, report, baselines_path):
     return 0
 
 
-def check_weight_ratio(path, report, baselines_path):
-    """The measured bf16 weight-compression ratio must hold the checked-in
-    floor: bench_serve_load loads every checkpoint at both dtypes and
-    reports min-over-models f32_bytes / bf16_bytes."""
-    floor = load_floor(baselines_path, "serve", "serve.bf16.weight_ratio")
-    weights = report.get("weights")
-    if not isinstance(weights, dict) or "bf16_weight_ratio" not in weights:
-        print(f"FAIL: {path}: no weights.bf16_weight_ratio — "
-              "bench_serve_load must measure resident weight bytes at both "
-              "serving dtypes", file=sys.stderr)
-        return 1
-    ratio = float(weights["bf16_weight_ratio"])
-    if ratio < floor:
-        for row in weights.get("models", []):
-            print(f"  {row.get('model')}: f32 {row.get('f32_bytes')} B, "
-                  f"bf16 {row.get('bf16_bytes')} B "
-                  f"(ratio {row.get('ratio')})", file=sys.stderr)
-        print(f"FAIL: {path}: bf16 weight ratio {ratio:.3f} is below the "
-              f"checked-in floor {floor:.2f} — some parameters are not "
-              "converting to the serving dtype", file=sys.stderr)
-        return 1
-    print(f"OK: {path}: bf16 weight ratio {ratio:.3f} (floor {floor:.2f})")
-    return 0
-
-
-def check_serve_bf16(path, profile_path, baselines_path):
-    """A reduced-precision serving run: same open-loop bars as the fp32 run
-    plus serve_dtype provenance and a zero-degraded / zero-error bar — bf16
-    rounding must not push one request off the healthy path."""
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    if report.get("serve_dtype") != "bf16":
-        print(f"FAIL: {path}: serve_dtype is "
-              f"{report.get('serve_dtype')!r}, expected 'bf16' — was "
-              "bench_serve_load run with STSM_SERVE_DTYPE=bf16?",
-              file=sys.stderr)
-        return 1
-    if report.get("degraded", -1) != 0:
-        print(f"FAIL: {path}: {report.get('degraded')} degraded "
-              "response(s) in the bf16 serving run — reduced precision "
-              "must not degrade a single request", file=sys.stderr)
-        return 1
-    if report.get("errors", -1) != 0:
-        print(f"FAIL: {path}: {report.get('errors')} errored response(s) "
-              "in the bf16 serving run", file=sys.stderr)
-        return 1
-    status = check_serve_open_loop(path, report, baselines_path)
-    if status == 0:
-        status = check_weight_ratio(path, report, baselines_path)
-    if status != 0:
-        return status
-    print(f"OK: {path}: bf16 serving run — 0 degraded, 0 errors, cache "
-          f"payload {report.get('cache_payload_bytes', 0)} B")
-    return 0
-
-
 def check_serve(path, profile_path, baselines_path):
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f)
@@ -394,8 +309,6 @@ def check_serve(path, profile_path, baselines_path):
     status = check_serve_shards(path, report, profile_path)
     if status == 0:
         status = check_serve_open_loop(path, report, baselines_path)
-    if status == 0:
-        status = check_weight_ratio(path, report, baselines_path)
     if status != 0:
         return status
 
@@ -424,17 +337,6 @@ def main(argv):
                   "<benchmark.json>", file=sys.stderr)
             return 1
         return check_micro(args[0], load_micro_baselines(baselines_path))
-    if "--serve-bf16" in args:
-        args.remove("--serve-bf16")
-        if len(args) != 2:
-            print(f"usage: {argv[0]} --serve-bf16 [--baselines FILE] "
-                  "<profile.json> <serve_load.json>", file=sys.stderr)
-            return 1
-        status = check_pool(args[0])
-        if status == 0:
-            status = check_serve_bf16(args[1], profile_path=args[0],
-                                      baselines_path=baselines_path)
-        return status
     baseline = None
     if "--smoke-baseline" in args:
         args.remove("--smoke-baseline")

@@ -49,15 +49,6 @@ cannot know because they encode *this* codebase's contracts:
                      equality against it, so a kernel without its oracle is
                      a kernel the tests cannot pin down.
 
-  bf16-serve-only    the kBf16 dtype may appear in src/ only inside the
-                     layers that implement or configure the reduced-
-                     precision serving path (src/tensor/, nn/precision.*,
-                     nn/serialize.cc, src/serve/, core/config.h). Anywhere
-                     else — training, masking, graph construction — a
-                     bf16 tensor means rounded gradients or corrupted
-                     paper metrics; the runtime autograd checks catch it
-                     late, this catches it at review time.
-
 Usage: stsm_lint.py [repo_root]
 
 Exit status 0 when clean, 1 with one line per finding otherwise. Stdlib
@@ -289,31 +280,6 @@ def check_sparse_kernel_oracle(root, findings):
                 "every SpMM kernel")
 
 
-# ---- bf16-serve-only --------------------------------------------------------
-
-BF16_TOKEN = re.compile(r"\bDType\s*::\s*kBf16\b")
-# Layers that legitimately implement or configure reduced-precision serving.
-BF16_ALLOW_PREFIXES = ("src/tensor/", "src/serve/", "src/nn/precision.")
-BF16_ALLOW_FILES = {"src/nn/serialize.cc", "src/core/config.h"}
-
-
-def check_bf16_serve_only(root, findings):
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".h", ".cc", ".cpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        if rel.startswith(BF16_ALLOW_PREFIXES) or rel in BF16_ALLOW_FILES:
-            continue
-        text = strip_comments(read(path))
-        for match in BF16_TOKEN.finditer(text):
-            line = text[: match.start()].count("\n") + 1
-            findings.append(
-                f"{rel}:{line}: [bf16-serve-only] DType::kBf16 outside the "
-                "serving/no-grad layers — bf16 construction is confined to "
-                "src/tensor/, src/serve/, nn/precision.*, nn/serialize.cc "
-                "and core/config.h; training stays fp32 bit-for-bit")
-
-
 # ---- driver -----------------------------------------------------------------
 
 
@@ -327,15 +293,13 @@ def main(argv):
     check_prof_scope_unique(root, findings)
     check_mutex_guarded(root, findings)
     check_sparse_kernel_oracle(root, findings)
-    check_bf16_serve_only(root, findings)
     for finding in findings:
         print(finding, file=sys.stderr)
     if findings:
         print(f"stsm_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     print("stsm_lint: OK (serve-nograd, ops-strided-pair, pool-include, "
-          "prof-scope-unique, mutex-guarded, sparse-kernel-oracle, "
-          "bf16-serve-only)")
+          "prof-scope-unique, mutex-guarded, sparse-kernel-oracle)")
     return 0
 
 
