@@ -26,9 +26,9 @@
 // autograd recording on vs. under autograd::NoGradGuard); the no-grad
 // timing doubles as the capacity estimate for the open-loop rate sweep.
 //
-// Emits serve_load.json (aggregate + per-shard stats, open-loop tail
-// latencies per arrival rate, hot-swap accounting) plus the usual
-// serve_load_profile.json with per-shard serve.cache.shard<k>.* counters.
+// Emits serve_load.json (aggregate + per-shard stats, including each
+// shard's cache hits and misses; open-loop tail latencies per arrival rate;
+// hot-swap accounting) plus the usual serve_load_profile.json.
 //
 // Usage: bench_serve_load [--smoke] [--open-loop]
 //   --smoke      forces STSM_BENCH_SCALE=smoke
@@ -703,12 +703,13 @@ void Run(bool open_loop_only) {
     const serve::ServerStats& s = shard_stats[shard];
     std::fprintf(out,
                  "    {\"shard\": %zu, \"submitted\": %llu, \"ok\": %llu, "
-                 "\"cache_hits\": %llu, \"degraded\": %llu, "
-                 "\"rejected\": %llu, \"errors\": %llu, "
-                 "\"batches\": %llu}%s\n",
+                 "\"cache_hits\": %llu, \"cache_misses\": %llu, "
+                 "\"degraded\": %llu, \"rejected\": %llu, "
+                 "\"errors\": %llu, \"batches\": %llu}%s\n",
                  shard, static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.ok),
                  static_cast<unsigned long long>(s.cache_hits),
+                 static_cast<unsigned long long>(s.cache.misses),
                  static_cast<unsigned long long>(s.degraded),
                  static_cast<unsigned long long>(s.rejected),
                  static_cast<unsigned long long>(s.errors),

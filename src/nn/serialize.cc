@@ -92,11 +92,20 @@ std::vector<Tensor> LoadTensors(const std::string& path) {
     uint32_t ndim = 0;
     if (!ReadPod(in, &ndim) || ndim > 16) return {};
     std::vector<int64_t> dims(ndim);
-    int64_t numel = 1;
+    // The product of the nonzero dims bounds every partial product Shape
+    // computes (numel, strides), so a zero dim cannot hide an overflowing
+    // one: dims {0, 2^62, 2^62} hold nothing, yet their strides overflow.
+    int64_t extent = 1;
+    bool empty = false;
     for (uint32_t d = 0; d < ndim; ++d) {
       if (!ReadPod(in, &dims[d]) || dims[d] < 0) return {};
-      if (__builtin_mul_overflow(numel, dims[d], &numel)) return {};
+      if (dims[d] == 0) {
+        empty = true;
+      } else if (__builtin_mul_overflow(extent, dims[d], &extent)) {
+        return {};
+      }
     }
+    const int64_t numel = empty ? 0 : extent;
     // v1 predates the tag and is fp32 by definition. A tag this reader does
     // not know is a hard error, not an fp32 reinterpretation: guessing the
     // element size would silently load garbage weights.

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/prof.h"
-
 namespace stsm {
 namespace serve {
 
@@ -44,21 +42,18 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
   return static_cast<size_t>(hash);
 }
 
-ForecastCache::ForecastCache(size_t capacity, CacheProfNames counters)
-    : capacity_(capacity), counters_(counters) {}
+ForecastCache::ForecastCache(size_t capacity) : capacity_(capacity) {}
 
 bool ForecastCache::Lookup(const CacheKey& key, std::vector<float>* out) {
   MutexLock lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    STSM_PROF_COUNT(counters_.miss, 1);
     return false;
   }
   entries_.splice(entries_.begin(), entries_, it->second);
   *out = it->second->forecast;
   ++stats_.hits;
-  STSM_PROF_COUNT(counters_.hit, 1);
   return true;
 }
 
@@ -78,7 +73,6 @@ void ForecastCache::Insert(CacheKey key, std::vector<float> forecast) {
     index_.erase(entries_.back().key);
     entries_.pop_back();
     ++stats_.evictions;
-    STSM_PROF_COUNT(counters_.evict, 1);
   }
   entries_.push_front(Entry{std::move(key), std::move(forecast)});
   stats_.payload_bytes += entries_.front().payload_bytes();

@@ -56,21 +56,10 @@ struct CacheStats {
   uint64_t payload_bytes = 0;
 };
 
-// Prof counter names recorded by a cache instance. The defaults are the
-// process-wide `serve.cache.*` counters; a sharded deployment passes
-// per-shard names (`serve.cache.shard<k>.*`, interned by ShardedRegistry)
-// so each shard's hit rate is attributable in the profile. Names must have
-// static storage duration — the prof collectors cache cells by pointer.
-struct CacheProfNames {
-  const char* hit = "serve.cache.hit";
-  const char* miss = "serve.cache.miss";
-  const char* evict = "serve.cache.evict";
-};
-
 // Fixed-capacity LRU map from CacheKey to a [horizon x regions] forecast.
 class ForecastCache {
  public:
-  explicit ForecastCache(size_t capacity, CacheProfNames counters = {});
+  explicit ForecastCache(size_t capacity);
 
   // Copies the cached forecast into `out` and promotes the entry to
   // most-recently-used. Counts a hit or a miss either way.
@@ -93,7 +82,6 @@ class ForecastCache {
   };
 
   const size_t capacity_;
-  const CacheProfNames counters_;
   mutable Mutex mutex_;
   // Front = most recently used. `index_` iterators stay valid across the
   // LRU splices (std::list), so promote-then-read is safe under the lock.

@@ -58,8 +58,7 @@ ForecastServer::ForecastServer(const ModelRegistry* registry,
                                const ServerConfig& config)
     : registry_(registry),
       config_(ValidatedConfig(config)),
-      cache_(static_cast<size_t>(config.cache_capacity),
-             config.cache_counters),
+      cache_(static_cast<size_t>(config.cache_capacity)),
       queue_(static_cast<size_t>(config.queue_capacity)),
       batch_size_counts_(
           new std::atomic<uint64_t>[config.batch_max + 1]()) {
@@ -83,7 +82,6 @@ void ForecastServer::Stop() {
 void ForecastServer::SubmitAsync(ForecastRequest request,
                                  ResponseCallback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  STSM_PROF_COUNT("serve.requests", 1);
   const Clock::time_point now = Clock::now();
 
   // Validation against the registered model's shapes.
@@ -91,7 +89,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       registry_->Find(request.model);
   if (model == nullptr) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.errors", 1);
     done(ErrorResponse("unknown model: " + request.model));
     return;
   }
@@ -100,14 +97,12 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       static_cast<size_t>(spec.config.input_length) * spec.num_nodes;
   if (request.window.size() != expected_window || request.regions.empty()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.errors", 1);
     done(ErrorResponse("bad request shape"));
     return;
   }
   for (int region : request.regions) {
     if (region < 0 || region >= spec.num_nodes) {
       errors_.fetch_add(1, std::memory_order_relaxed);
-      STSM_PROF_COUNT("serve.errors", 1);
       done(ErrorResponse("region id out of range"));
       return;
     }
@@ -117,7 +112,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
   for (float value : request.window) {
     if (!std::isfinite(value)) {
       errors_.fetch_add(1, std::memory_order_relaxed);
-      STSM_PROF_COUNT("serve.errors", 1);
       done(ErrorResponse("non-finite window"));
       return;
     }
@@ -134,7 +128,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
     ForecastResponse cached;
     if (cache_.Lookup(KeyFor(request, model->generation()),
                       &cached.forecast)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       cached.status = Status::kOk;
       cached.cache_hit = true;
       cached.horizon = spec.config.horizon;
@@ -158,7 +151,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
   ResponseCallback on_reject = pending.done;
   if (!queue_.TryPush(std::move(pending))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.rejected", 1);
     ForecastResponse rejected;
     rejected.status = Status::kRejected;
     rejected.message = "queue full";
@@ -227,7 +219,6 @@ void ForecastServer::ProcessBatch(std::vector<Pending>* batch) {
 
   const int b = static_cast<int>(live.size());
   batches_.fetch_add(1, std::memory_order_relaxed);
-  STSM_PROF_COUNT("serve.batches", 1);
   batch_size_counts_[std::min(b, config_.batch_max)].fetch_add(
       1, std::memory_order_relaxed);
 
@@ -295,7 +286,6 @@ void ForecastServer::Respond(Pending* pending, ForecastResponse response) {
       break;
     case Status::kDegraded:
       degraded_.fetch_add(1, std::memory_order_relaxed);
-      STSM_PROF_COUNT("serve.degraded", 1);
       break;
     default:
       errors_.fetch_add(1, std::memory_order_relaxed);
@@ -333,7 +323,6 @@ ServerStats ForecastServer::stats() const {
   ServerStats stats;
   stats.submitted = submitted_.load(std::memory_order_relaxed);
   stats.ok = ok_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.degraded = degraded_.load(std::memory_order_relaxed);
   stats.rejected = rejected_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
@@ -344,6 +333,7 @@ ServerStats ForecastServer::stats() const {
         batch_size_counts_[i].load(std::memory_order_relaxed);
   }
   stats.cache = cache_.stats();
+  stats.cache_hits = stats.cache.hits;
   return stats;
 }
 

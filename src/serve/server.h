@@ -50,16 +50,15 @@ struct ServerConfig {
   int cache_capacity = 128;
   // Applied to requests that arrive without a deadline; zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
-  // Prof counter names for this server's forecast cache; a sharded
-  // front-end injects per-shard names (see cache.h).
-  CacheProfNames cache_counters{};
 };
 
-// Point-in-time counters (monotonic since construction).
+// Point-in-time counters (monotonic since construction). These are the only
+// count of serving events: prof records just the serve.latency histogram
+// and the serve.* scopes.
 struct ServerStats {
   uint64_t submitted = 0;
   uint64_t ok = 0;          // Model-served responses (excludes cache hits).
-  uint64_t cache_hits = 0;
+  uint64_t cache_hits = 0;  // Requests answered from the cache (cache.hits).
   uint64_t degraded = 0;
   uint64_t rejected = 0;
   uint64_t errors = 0;
@@ -135,7 +134,6 @@ class ForecastServer {
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> errors_{0};

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
+#include "fuzz.h"
 #include "gtest/gtest.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
@@ -163,8 +165,11 @@ TEST_F(SerializeTest, HeaderDeclaringMorePayloadThanTheFileIsRejected) {
   EXPECT_TRUE(LoadTensors(path_).empty());
   WriteHeader({int64_t{1} << 31, int64_t{1} << 31}, /*tag=*/0, 16);
   EXPECT_TRUE(LoadTensors(path_).empty());
-  // numel overflowing int64 is rejected too.
+  // numel overflowing int64 is rejected too, and so are strides that
+  // overflow behind a zero dim.
   WriteHeader({int64_t{1} << 62, int64_t{1} << 62}, /*tag=*/0, 16);
+  EXPECT_TRUE(LoadTensors(path_).empty());
+  WriteHeader({0, int64_t{1} << 62, int64_t{1} << 62}, /*tag=*/0, 0);
   EXPECT_TRUE(LoadTensors(path_).empty());
   // One float short of the declared payload.
   WriteHeader({4}, /*tag=*/0, 3 * sizeof(float));
@@ -242,6 +247,89 @@ TEST_F(SerializeTest, GruRoundTrip) {
   for (int64_t i = 0; i < a.numel(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
+}
+
+// ---- seeded fuzz -----------------------------------------------------------
+
+// A module whose parameters are the given tensors.
+struct TensorSet : Module {
+  std::vector<Tensor> tensors;
+  std::vector<Tensor> Parameters() const override { return tensors; }
+};
+
+// Mutated copies of a saved checkpoint, written under TempPath, load
+// through LoadTensors and LoadModule. Each case fails cleanly or loads a
+// container its bytes account for; none may abort or size an allocation
+// from a header the file cannot back.
+TEST_F(SerializeTest, FuzzedCheckpointsFailCleanlyOrLoadWhatTheFileHolds) {
+  constexpr uint64_t kSeed = 0x5715;
+  constexpr int kCases = 1500;
+  Rng init(15);
+  TensorSet saved;
+  saved.tensors = {Tensor::Uniform(Shape({2, 3}), -1, 1, &init),
+                   Tensor::Scalar(7.0f),
+                   Tensor::Uniform(Shape({2, 2, 2}), -1, 1, &init)};
+  ASSERT_TRUE(SaveModule(saved, path_));
+  std::vector<uint8_t> file;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  // Version, count, and every tensor's ndim, dims and dtype tag.
+  std::vector<Field> fields = {{8, 4}, {12, 4}};
+  size_t at = 16;
+  for (const Tensor& t : saved.tensors) {
+    fields.push_back({at, 4});
+    at += 4;
+    for (int d = 0; d < t.shape().ndim(); ++d, at += 8) {
+      fields.push_back({at, 8});
+    }
+    fields.push_back({at, 4});
+    at += 4 + sizeof(float) * static_cast<size_t>(t.numel());
+  }
+  ASSERT_EQ(at, file.size());
+
+  int loaded = 0;
+  // Unknown dtype tags are reported on stderr; keep them out of the log.
+  testing::internal::CaptureStderr();
+  for (int index = 0; index < kCases; ++index) {
+    SCOPED_TRACE(::testing::Message()
+                 << "replay: seed " << kSeed << ", index " << index);
+    Rng rng = CaseRng(kSeed, index);
+    std::vector<uint8_t> bytes = file;
+    Mutate(&rng, fields, &bytes);
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    const std::vector<Tensor> tensors = LoadTensors(path_);
+    size_t payload = 0;
+    for (const Tensor& t : tensors) {
+      payload += sizeof(float) * static_cast<size_t>(t.numel());
+    }
+    EXPECT_LE(payload, bytes.size());
+
+    TensorSet target;
+    for (const Tensor& t : saved.tensors) {
+      target.tensors.push_back(Tensor::Zeros(t.shape()));
+    }
+    const bool restored = LoadModule(&target, path_);
+    loaded += restored ? 1 : 0;
+    // A refused checkpoint leaves every weight as it was; an accepted one
+    // holds exactly what LoadTensors read.
+    for (size_t i = 0; i < target.tensors.size(); ++i) {
+      const Tensor& t = target.tensors[i];
+      for (int64_t j = 0; j < t.numel(); ++j) {
+        EXPECT_EQ(t.data()[j], restored ? tensors[i].data()[j] : 0.0f);
+      }
+    }
+  }
+  testing::internal::GetCapturedStderr();
+  // The mutations must reach both outcomes, or the loop tests nothing.
+  EXPECT_GT(loaded, kCases / 50);
+  EXPECT_LT(loaded, kCases / 2);
 }
 
 }  // namespace

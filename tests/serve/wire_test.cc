@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz.h"
 #include "gtest/gtest.h"
 
 namespace stsm {
@@ -266,6 +267,74 @@ TEST(WireTest, TruncatedResponsePayloadRejected) {
                                        &decoded, &error))
         << "truncated to " << len << " bytes";
   }
+}
+
+// ---- seeded fuzz -----------------------------------------------------------
+
+// Mutated copies of valid request frames go through the ingress decode path
+// (DecodeHeader, then DecodeRequestPayload over exactly the declared
+// payload, frame after frame, as Connection parses them).
+TEST(WireFuzzTest, MutatedRequestFramesDecodeOrFailCleanly) {
+  constexpr uint64_t kSeed = 0x5715;
+  constexpr int kCases = 4000;
+  // Payload length, model name length, window length, region count.
+  const std::vector<Field> fields = {
+      {8, 4}, {kHeaderBytes + 16, 2}, {kHeaderBytes + 18, 4},
+      {kHeaderBytes + 22, 4}};
+  int decoded = 0;
+  int malformed = 0;
+  for (int index = 0; index < kCases; ++index) {
+    SCOPED_TRACE(::testing::Message()
+                 << "replay: seed " << kSeed << ", index " << index);
+    Rng rng = CaseRng(kSeed, index);
+    // Only the counts shape the decoder's path, so the frames differ in
+    // those.
+    RequestFrame valid = MakeRequest();
+    valid.request.model.assign(static_cast<size_t>(rng.UniformInt(17)), 'm');
+    valid.request.window.assign(static_cast<size_t>(rng.UniformInt(33)), 1.5f);
+    valid.request.regions.assign(static_cast<size_t>(rng.UniformInt(9)), 3);
+    std::vector<uint8_t> bytes;
+    EncodeRequest(valid, &bytes);
+    Mutate(&rng, fields, &bytes);
+
+    // Stop at the first malformed frame (the connection closes) or at an
+    // incomplete one (the ingress waits for more bytes).
+    for (size_t at = 0; at < bytes.size();) {
+      const uint8_t* data = bytes.data() + at;
+      const size_t available = bytes.size() - at;
+      FrameHeader header;
+      std::string error;
+      const DecodeResult head = DecodeHeader(data, available, &header, &error);
+      if (head == DecodeResult::kNeedMore) {
+        EXPECT_LT(available, kHeaderBytes);
+        break;
+      }
+      if (head == DecodeResult::kMalformed ||
+          header.type != FrameType::kRequest) {
+        ++malformed;
+        break;
+      }
+      if (available - kHeaderBytes < header.payload_bytes) break;
+      RequestFrame frame;
+      if (!DecodeRequestPayload(data + kHeaderBytes, header.payload_bytes,
+                                &frame, &error)) {
+        EXPECT_FALSE(error.empty());
+        ++malformed;
+        break;
+      }
+      // A frame that decodes is exactly what the encoder writes for the
+      // decoded request, so no count outgrew the bytes it came in.
+      std::vector<uint8_t> again;
+      EncodeRequest(frame, &again);
+      ASSERT_EQ(again.size(), kHeaderBytes + header.payload_bytes);
+      EXPECT_EQ(std::memcmp(again.data(), data, again.size()), 0);
+      ++decoded;
+      at += again.size();
+    }
+  }
+  // The mutations must reach both outcomes, or the loop tests nothing.
+  EXPECT_GT(decoded, kCases / 20);
+  EXPECT_GT(malformed, kCases / 4);
 }
 
 }  // namespace

@@ -32,13 +32,14 @@ When a serve_load.json (emitted by bench_serve_load) is given as the second
 argument, additionally asserts the serving layer behaved: a nonzero forecast
 cache hit rate, at least one degraded response from the injected deadline
 misses, and positive throughput. The sharded front-end is held to its own
-bars: the profile must carry per-shard serve.cache.shard<k>.* counters with
-hits on at least two shards (so the replay phase provably exercised both
-shard caches), and the open_loop section must show Poisson phases with
-monotonic tail percentiles, zero transport/server errors, zero malformed
-frames, at least one mid-load checkpoint hot-swap, zero requests failed by
-the swaps, and (at smoke scale) a p99 under the serve.open_loop.p99_ms
-ceiling in bench/baselines.json.
+bars: every entry of the report's per-shard "shards" list must carry the
+shard's cache_hits and cache_misses (read from its ServerStats, the one
+count of serving events), with hits on at least two shards (so the replay
+phase provably exercised both shard caches), and the open_loop section must
+show Poisson phases with monotonic tail percentiles, zero transport/server
+errors, zero malformed frames, at least one mid-load checkpoint hot-swap,
+zero requests failed by the swaps, and (at smoke scale) a p99 under the
+serve.open_loop.p99_ms ceiling in bench/baselines.json.
 
 Exit status 0 on success; 1 with a diagnostic on failure. Stdlib only.
 """
@@ -197,7 +198,7 @@ def check_pool(path, baseline=None):
     return 0
 
 
-def check_serve_shards(path, report, profile_path):
+def check_serve_shards(path, report):
     """Per-shard cache counters: present for every shard the report claims,
     and with hits on at least two of them — the replay phase alternates model
     kinds precisely so both shard caches serve."""
@@ -206,26 +207,23 @@ def check_serve_shards(path, report, profile_path):
         print(f"FAIL: {path}: num_shards is {num_shards} — the load bench "
               "must drive a sharded front-end (>= 2 shards)", file=sys.stderr)
         return 1
-    with open(profile_path, "r", encoding="utf-8") as f:
-        profile = json.load(f)
-    counters = {c["name"]: c["total_ns"] for c in profile.get("counters", [])}
+    entries = {entry.get("shard"): entry for entry in report.get("shards", [])}
     shards_with_hits = 0
     for shard in range(num_shards):
-        prefix = f"serve.cache.shard{shard}"
-        missing = [f"{prefix}{suffix}" for suffix in (".hit", ".miss")
-                   if f"{prefix}{suffix}" not in counters]
+        entry = entries.get(shard, {})
+        missing = [key for key in ("cache_hits", "cache_misses")
+                   if key not in entry]
         if missing:
-            print(f"FAIL: {profile_path} is missing per-shard cache "
-                  f"counters: {', '.join(missing)} — shard {shard}'s "
-                  "ForecastCache is not wired to its interned prof names",
-                  file=sys.stderr)
+            print(f"FAIL: {path}: shard {shard} entry is missing "
+                  f"{', '.join(missing)} — every shard must report its "
+                  "forecast cache's counters", file=sys.stderr)
             return 1
-        if counters[f"{prefix}.hit"] > 0:
+        if entry["cache_hits"] > 0:
             shards_with_hits += 1
     if shards_with_hits < 2:
-        print(f"FAIL: {profile_path}: only {shards_with_hits} shard(s) "
-              "recorded cache hits — the replay phase must alternate model "
-              "kinds so every shard's cache serves", file=sys.stderr)
+        print(f"FAIL: {path}: only {shards_with_hits} shard(s) recorded "
+              "cache hits — the replay phase must alternate model kinds so "
+              "every shard's cache serves", file=sys.stderr)
         return 1
     return 0
 
@@ -285,7 +283,7 @@ def check_serve_open_loop(path, report, baselines_path):
     return 0
 
 
-def check_serve(path, profile_path, baselines_path):
+def check_serve(path, baselines_path):
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f)
 
@@ -306,7 +304,7 @@ def check_serve(path, profile_path, baselines_path):
         print(f"FAIL: {path}: qps is {qps}", file=sys.stderr)
         return 1
 
-    status = check_serve_shards(path, report, profile_path)
+    status = check_serve_shards(path, report)
     if status == 0:
         status = check_serve_open_loop(path, report, baselines_path)
     if status != 0:
@@ -347,8 +345,7 @@ def main(argv):
         return 1
     status = check_pool(args[0], baseline=baseline)
     if status == 0 and len(args) == 2:
-        status = check_serve(args[1], profile_path=args[0],
-                             baselines_path=baselines_path)
+        status = check_serve(args[1], baselines_path=baselines_path)
     return status
 
 

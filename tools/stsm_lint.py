@@ -12,6 +12,11 @@ cannot know because they encode *this* codebase's contracts:
                      NodesCreated()/GradAllocations() counters assert it at
                      runtime; this catches it at review time).
 
+  serve-counts-once  no STSM_PROF_COUNT / prof::RecordCounter under
+                     src/serve/: serving events are counted once, in
+                     ServerStats / CacheStats / IngressCounters, and a prof
+                     copy drifts from them.
+
   ops-strided-pair   every kernel in src/tensor/ops.cc that branches on
                      is_contiguous() for a fast path must also contain a
                      generic strided path (index tables / Contiguous()
@@ -105,6 +110,25 @@ def check_serve_nograd(root, findings):
                 f"{rel}: [serve-nograd] calls Forward() but never takes "
                 "autograd::NoGradGuard — served forwards must build no "
                 "graph")
+
+
+# ---- serve-counts-once ------------------------------------------------------
+
+PROF_COUNTER_CALL = re.compile(r"\b(STSM_PROF_COUNT|RecordCounter)\s*\(")
+
+
+def check_serve_counts_once(root, findings):
+    for path in sorted((root / "src" / "serve").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        text = strip_comments(read(path))
+        rel = path.relative_to(root)
+        for match in PROF_COUNTER_CALL.finditer(text):
+            line = text[: match.start()].count("\n") + 1
+            findings.append(
+                f"{rel}:{line}: [serve-counts-once] {match.group(1)} in "
+                "serve code — count serving events in ServerStats / "
+                "CacheStats / IngressCounters, not in prof")
 
 
 # ---- ops-strided-pair -------------------------------------------------------
@@ -288,6 +312,7 @@ def main(argv):
         pathlib.Path(__file__).resolve().parent.parent
     findings = []
     check_serve_nograd(root, findings)
+    check_serve_counts_once(root, findings)
     check_ops_strided_pairing(root, findings)
     check_pool_include(root, findings)
     check_prof_scope_unique(root, findings)
@@ -298,8 +323,9 @@ def main(argv):
     if findings:
         print(f"stsm_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print("stsm_lint: OK (serve-nograd, ops-strided-pair, pool-include, "
-          "prof-scope-unique, mutex-guarded, sparse-kernel-oracle)")
+    print("stsm_lint: OK (serve-nograd, serve-counts-once, ops-strided-pair, "
+          "pool-include, prof-scope-unique, mutex-guarded, "
+          "sparse-kernel-oracle)")
     return 0
 
 
