@@ -4,10 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/adjacency.h"
 #include "graph/geo.h"
 #include "nn/gcn.h"
@@ -44,6 +46,39 @@ void BM_MatMulGcnShaped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8 * 12 * nodes * nodes * 16);
 }
 BENCHMARK(BM_MatMulGcnShaped)->Arg(50)->Arg(100)->Arg(200);
+
+// The same propagation as one PackedGemm per (batch, time) matrix, each
+// re-packing the adjacency: what MatMul ran before it folded the batch into
+// the columns of one GEMM. The pair's ratio is a CI floor, so a change that
+// un-folds the propagation shows up as a failed check.
+void BM_MatMulGcnShapedPerBatch(benchmark::State& state) {
+  const int64_t nodes = state.range(0);
+  const int64_t matrices = 8 * 12;
+  const int64_t ch = 16;
+  Rng rng(1);
+  const Tensor adj = Tensor::Uniform(Shape({nodes, nodes}), 0, 1, &rng);
+  const Tensor h =
+      Tensor::Uniform(Shape({matrices, nodes, ch}), -1, 1, &rng);
+  std::vector<float> out(static_cast<size_t>(matrices * nodes * ch));
+  const int64_t blocks = (nodes + kGemmRowBlock - 1) / kGemmRowBlock;
+  for (auto _ : state) {
+    // MatMul's former split: one task per (matrix, row block).
+    ParallelFor(0, matrices * blocks, [&](int64_t begin, int64_t end) {
+      for (int64_t t = begin; t < end; ++t) {
+        const int64_t b = t / blocks;
+        const int64_t i0 = (t % blocks) * kGemmRowBlock;
+        PackedGemm(std::min(kGemmRowBlock, nodes - i0), ch, nodes,
+                   adj.data() + i0 * nodes, nodes, 1,
+                   h.data() + b * nodes * ch, ch, 1,
+                   out.data() + (b * nodes + i0) * ch, ch, 1, false);
+      }
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * matrices * nodes * nodes * ch);
+}
+BENCHMARK(BM_MatMulGcnShapedPerBatch)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_MatMulBackward(benchmark::State& state) {
   const int64_t nodes = state.range(0);

@@ -1,5 +1,7 @@
 #include "core/st_model.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "tensor/ops.h"
 
@@ -26,9 +28,29 @@ StBlock::StBlock(int64_t channels, const StsmConfig& config, Rng* rng)
   }
 }
 
-Tensor StBlock::TemporalBranch(const Tensor& x) const {
+namespace {
+
+// The last `steps` time steps of a [B, T, ...] tensor (a view; x itself when
+// that is all of it).
+Tensor LastSteps(const Tensor& x, int64_t steps) {
+  const int64_t time = x.shape()[1];
+  return steps == time ? x : Slice(x, 1, time - steps, time);
+}
+
+}  // namespace
+
+Tensor StBlock::TemporalBranch(const Tensor& x, int64_t out_steps) const {
   if (temporal_module_ == TemporalModule::kTcn) {
-    Tensor h = x;
+    // The causal stack's output at step t reads the input at steps
+    // t - (receptive_field - 1) .. t, so the last out_steps outputs need only
+    // that input suffix. The zero padding at the suffix's left edge reaches
+    // only outputs that are dropped.
+    int64_t receptive_field = 1;
+    for (const auto& conv : tcn_stack_) {
+      receptive_field += (conv->kernel_size() - 1) * conv->dilation();
+    }
+    Tensor h = LastSteps(
+        x, std::min(x.shape()[1], out_steps + receptive_field - 1));
     for (const auto& conv : tcn_stack_) {
       h = conv->Forward(h);
       if (GradModeEnabled()) {
@@ -39,7 +61,7 @@ Tensor StBlock::TemporalBranch(const Tensor& x) const {
         ReluInPlace(h);
       }
     }
-    return h;
+    return LastSteps(h, out_steps);
   }
   // Transformer over time: [B, T, N, C] -> [B, N, T, C] -> [B*N, T, C].
   const int64_t batch = x.shape()[0];
@@ -50,7 +72,8 @@ Tensor StBlock::TemporalBranch(const Tensor& x) const {
   h = Reshape(h, Shape({batch * nodes, time, channels}));
   h = transformer_->Forward(h);
   h = Reshape(h, Shape({batch, nodes, time, channels}));
-  return Transpose(h, 1, 2);
+  // Attention mixes every step, so the encoder runs at full length.
+  return LastSteps(Transpose(h, 1, 2), out_steps);
 }
 
 Tensor StBlock::SpatialBranch(const Tensor& x, const Adjacency& adj) const {
@@ -65,11 +88,15 @@ Tensor StBlock::SpatialBranch(const Tensor& x, const Adjacency& adj) const {
 }
 
 Tensor StBlock::Forward(const Tensor& x, const Adjacency& adj_spatial,
-                        const Adjacency& adj_temporal) const {
-  const Tensor h_temporal = TemporalBranch(x);
-  // Eq. 11: max over the two adjacency variants.
-  const Tensor h_spatial = Maximum(SpatialBranch(x, adj_spatial),
-                                   SpatialBranch(x, adj_temporal));
+                        const Adjacency& adj_temporal,
+                        int64_t out_steps) const {
+  STSM_CHECK(out_steps >= 1 && out_steps <= x.shape()[1]);
+  const Tensor h_temporal = TemporalBranch(x, out_steps);
+  // Eq. 11: max over the two adjacency variants. Graph propagation is
+  // independent per time step, so the branch runs on the kept steps only.
+  const Tensor x_kept = LastSteps(x, out_steps);
+  const Tensor h_spatial = Maximum(SpatialBranch(x_kept, adj_spatial),
+                                   SpatialBranch(x_kept, adj_temporal));
   if (temporal_module_ == TemporalModule::kTcn) {
     return Add(h_spatial, h_temporal);  // Eq. 12.
   }
@@ -147,15 +174,16 @@ StModel::Output StModel::Forward(const Tensor& x, const Tensor& time_features,
       Unsqueeze(phi2_.Forward(time_features), 2);  // [B, T, 1, C'].
   Tensor h = input_dropout_.Forward(Mul(h_obs, h_time));
 
-  for (const auto& block : blocks_) {
-    h = block->Forward(h, adj_spatial, adj_temporal);
-  }
-
   // Final features: last block output at the last input time step, which
   // summarises the whole window through the dilated temporal stack
-  // (this is the H^{t+T',L} of Eq. 16).
+  // (this is the H^{t+T',L} of Eq. 16). Nothing reads the last block at
+  // any other step, so it computes only that one.
+  for (size_t l = 0; l < blocks_.size(); ++l) {
+    const int64_t out_steps = l + 1 == blocks_.size() ? 1 : time;
+    h = blocks_[l]->Forward(h, adj_spatial, adj_temporal, out_steps);
+  }
   const Tensor last =
-      Reshape(Slice(h, 1, time - 1, time),
+      Reshape(LastSteps(h, 1),
               Shape({batch, nodes, config_.hidden_dim}));  // [B, N, C'].
 
   // Output head (Eq. 13): two linear maps with an inner ReLU produce all T'

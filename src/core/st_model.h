@@ -33,14 +33,18 @@ class StBlock : public Module {
   StBlock(int64_t channels, const StsmConfig& config, Rng* rng);
 
   // x: [B, T, N, C]; adjacencies are [N, N] (pre-normalised), dense or CSR.
+  // Returns the block output at the last `out_steps` time steps only,
+  // [B, out_steps, N, C]: the spatial branch runs on those steps alone and
+  // the TCN on the input suffix they can see. Each step is bitwise what a
+  // full-length forward gives at that step.
   Tensor Forward(const Tensor& x, const Adjacency& adj_spatial,
-                 const Adjacency& adj_temporal) const;
+                 const Adjacency& adj_temporal, int64_t out_steps) const;
 
   std::vector<Tensor> Parameters() const override;
   std::vector<Module*> Children() override;
 
  private:
-  Tensor TemporalBranch(const Tensor& x) const;
+  Tensor TemporalBranch(const Tensor& x, int64_t out_steps) const;
   Tensor SpatialBranch(const Tensor& x, const Adjacency& adj) const;
 
   TemporalModule temporal_module_;
@@ -54,7 +58,9 @@ class StBlock : public Module {
 };
 
 // The full forecasting network: input fusion with the time embedding
-// (Eq. 4), L stacked ST blocks, and the output head (Eq. 13).
+// (Eq. 4), L stacked ST blocks, and the output head (Eq. 13). The head and
+// the projection (Eq. 16) read only the last block's last time step, so the
+// last block computes that step alone.
 class StModel : public Module {
  public:
   StModel(const StsmConfig& config, Rng* rng);

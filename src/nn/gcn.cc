@@ -25,7 +25,12 @@ Tensor GcnLayer::Forward(const Adjacency& adj, const Tensor& x) const {
   STSM_CHECK_EQ(x.shape()[-1], in_features_);
   // Â mixes the node dimension (MatMul or SpMM depending on the adjacency
   // representation); W mixes features. Batch dims broadcast.
-  return Add(MatMul(adj.Apply(x), weight_), bias_);
+  return Transform(adj.Apply(x));
+}
+
+Tensor GcnLayer::Transform(const Tensor& ax) const {
+  STSM_CHECK_EQ(ax.shape()[-1], in_features_);
+  return Add(MatMul(ax, weight_), bias_);
 }
 
 std::vector<Tensor> GcnLayer::Parameters() const { return {weight_, bias_}; }
@@ -36,7 +41,11 @@ GcnlLayer::GcnlLayer(int64_t in_features, int64_t out_features, Rng* rng)
 
 Tensor GcnlLayer::Forward(const Adjacency& adj, const Tensor& x) const {
   STSM_PROF_SCOPE("gcnl.fwd");
-  return Mul(value_.Forward(adj, x), Sigmoid(gate_.Forward(adj, x)));
+  STSM_CHECK(adj.defined());
+  STSM_CHECK_EQ(adj.rows(), adj.cols());
+  STSM_CHECK_EQ(x.shape()[-2], adj.rows());
+  const Tensor ax = adj.Apply(x);
+  return Mul(value_.Transform(ax), Sigmoid(gate_.Transform(ax)));
 }
 
 std::vector<Tensor> GcnlLayer::Parameters() const {

@@ -21,6 +21,10 @@ class GcnLayer : public Module {
   // routes to MatMul or SpMM accordingly; x: [..., N, in] -> [..., N, out].
   Tensor Forward(const Adjacency& adj, const Tensor& x) const;
 
+  // The feature step alone, Add(MatMul(ax, W), b), on an already propagated
+  // ax = Â·x: layers that share one propagation (GcnlLayer) call this.
+  Tensor Transform(const Tensor& ax) const;
+
   std::vector<Tensor> Parameters() const override;
 
  private:
@@ -31,7 +35,8 @@ class GcnLayer : public Module {
 };
 
 // Gated GCN layer (Eq. 7): GCNL(A, Z) = GCN(A, Z) * sigmoid(GCN'(A, Z)) with
-// two parallel graph convolutions acting as value and gate.
+// two parallel graph convolutions acting as value and gate. Both read the
+// same Â·Z, so it is propagated once and fed to both feature steps.
 class GcnlLayer : public Module {
  public:
   GcnlLayer(int64_t in_features, int64_t out_features, Rng* rng);

@@ -39,18 +39,47 @@ void MicroKernel(int64_t kb, const float* a_panel, const float* b_panel,
   }
 }
 
-}  // namespace
+// Column addressing of the B and C operands. Column j of the product is
+// column (first + j) of the concatenation [M_0 | M_1 | ...] of `width`-wide
+// matrices; matrix g starts at element offsets[g]. A plain operand is one
+// matrix: width = n, first = 0, offsets = {0}.
+struct ColumnMap {
+  const int64_t* offsets;
+  int64_t width;
+  int64_t first;
+  int64_t cs;  // Column element stride within a matrix.
+};
 
-void PackedGemm(int64_t m, int64_t n, int64_t k,            //
-                const float* a, int64_t rs_a, int64_t cs_a,  //
-                const float* b, int64_t rs_b, int64_t cs_b,  //
-                float* c, int64_t rs_c, int64_t cs_c,        //
-                bool accumulate) {
+// Calls fn(j, len, offset) for each run [j, j + len) of columns [j0, j0 + jw)
+// that lies inside one matrix; `offset` addresses the run's first column.
+template <typename Fn>
+inline void ForEachRun(const ColumnMap& map, int64_t j0, int64_t jw, Fn fn) {
+  for (int64_t j = 0; j < jw;) {
+    const int64_t col = map.first + j0 + j;
+    const int64_t g = col / map.width;
+    const int64_t within = col - g * map.width;
+    const int64_t len = std::min(jw - j, map.width - within);
+    fn(j, len, map.offsets[g] + within * map.cs);
+    j += len;
+  }
+}
+
+// The blocked GEMM behind PackedGemm and PackedGemmSharedA. Per output
+// element the k-order is the same whatever the column map: each k-block is
+// accumulated from zero in the register tile and then stored or added.
+void GemmCore(int64_t m, int64_t n, int64_t k,             //
+              const float* a, int64_t rs_a, int64_t cs_a,   //
+              const float* b, int64_t rs_b, const ColumnMap& b_cols,
+              float* c, int64_t rs_c, const ColumnMap& c_cols,
+              bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
       for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) c[i * rs_c + j * cs_c] = 0.0f;
+        ForEachRun(c_cols, 0, n, [&](int64_t, int64_t len, int64_t off) {
+          float* dst = c + off + i * rs_c;
+          for (int64_t j = 0; j < len; ++j) dst[j * c_cols.cs] = 0.0f;
+        });
       }
     }
     return;
@@ -79,10 +108,15 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
       const int64_t j0 = jp * nr;
       const int64_t jw = std::min(nr, n - j0);
       float* panel = b_pack + jp * kb * nr;
+      ForEachRun(b_cols, j0, jw, [&](int64_t j, int64_t len, int64_t off) {
+        for (int64_t kk = 0; kk < kb; ++kk) {
+          const float* src = b + off + (kc + kk) * rs_b;
+          float* dst = panel + kk * nr + j;
+          for (int64_t jj = 0; jj < len; ++jj) dst[jj] = src[jj * b_cols.cs];
+        }
+      });
       for (int64_t kk = 0; kk < kb; ++kk) {
-        const float* src = b + (kc + kk) * rs_b + j0 * cs_b;
         float* dst = panel + kk * nr;
-        for (int64_t j = 0; j < jw; ++j) dst[j] = src[j * cs_b];
         for (int64_t j = jw; j < nr; ++j) dst[j] = 0.0f;
       }
     }
@@ -107,18 +141,45 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
         } else {
           MicroKernel(kb, a_pack, b_pack + jp * kb * nr, acc);
         }
-        for (int64_t i = 0; i < iw; ++i) {
-          float* dst = c + (i0 + i) * rs_c + j0 * cs_c;
-          const float* src = acc + i * nr;
-          if (overwrite) {
-            for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] = src[j];
-          } else {
-            for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] += src[j];
+        ForEachRun(c_cols, j0, jw, [&](int64_t j, int64_t len, int64_t off) {
+          const int64_t cs = c_cols.cs;
+          for (int64_t i = 0; i < iw; ++i) {
+            float* dst = c + off + (i0 + i) * rs_c;
+            const float* src = acc + i * nr + j;
+            if (overwrite) {
+              for (int64_t jj = 0; jj < len; ++jj) dst[jj * cs] = src[jj];
+            } else {
+              for (int64_t jj = 0; jj < len; ++jj) dst[jj * cs] += src[jj];
+            }
           }
-        }
+        });
       }
     }
   }
+}
+
+}  // namespace
+
+void PackedGemm(int64_t m, int64_t n, int64_t k,            //
+                const float* a, int64_t rs_a, int64_t cs_a,  //
+                const float* b, int64_t rs_b, int64_t cs_b,  //
+                float* c, int64_t rs_c, int64_t cs_c,        //
+                bool accumulate) {
+  const int64_t origin = 0;
+  GemmCore(m, n, k, a, rs_a, cs_a, b, rs_b, ColumnMap{&origin, n, 0, cs_b},
+           c, rs_c, ColumnMap{&origin, n, 0, cs_c}, accumulate);
+}
+
+void PackedGemmSharedA(int64_t m, int64_t width, int64_t k,      //
+                       const float* a, int64_t rs_a, int64_t cs_a,  //
+                       const float* b, const int64_t* b_offsets,
+                       int64_t rs_b, int64_t cs_b,                  //
+                       float* c, const int64_t* c_offsets,
+                       int64_t rs_c, int64_t cs_c,                  //
+                       int64_t col_begin, int64_t col_end, bool accumulate) {
+  GemmCore(m, col_end - col_begin, k, a, rs_a, cs_a, b, rs_b,
+           ColumnMap{b_offsets, width, col_begin, cs_b}, c, rs_c,
+           ColumnMap{c_offsets, width, col_begin, cs_c}, accumulate);
 }
 
 void NaiveGemm(int64_t m, int64_t n, int64_t k,             //

@@ -39,6 +39,10 @@ inline constexpr int64_t kGemmKc = 256; // k-block (packed panel depth)
 // GEMM across the thread pool.
 inline constexpr int64_t kGemmRowBlock = 64;
 
+// Suggested number of C columns per parallel task when callers split a
+// column-batched GEMM (PackedGemmSharedA) across the thread pool.
+inline constexpr int64_t kGemmColBlock = 256;
+
 // C[i, j] (+)= sum_k A[i, k] * B[k, j] for i < m, j < n.
 //
 // Element addresses: A[i, k] = a[i * rs_a + k * cs_a], and likewise for B
@@ -51,6 +55,26 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
                 const float* b, int64_t rs_b, int64_t cs_b,  //
                 float* c, int64_t rs_c, int64_t cs_c,        //
                 bool accumulate);
+
+// Column-batched GEMM: C_g (+)= A @ B_g for every matrix g of a batch that
+// shares one A, run as a single product of A against the concatenation
+// [B_0 | B_1 | ...]. This is the node-mixing layout of graph propagation:
+// one packed A swept over every (batch, time) feature matrix, instead of one
+// small GEMM, and one re-pack of A, per matrix.
+//
+// Each B_g is k x width at b + b_offsets[g] (strides rs_b, cs_b); each C_g is
+// m x width at c + c_offsets[g] (strides rs_c, cs_c). The call computes
+// columns [col_begin, col_end) of the concatenation, where column j is
+// column j % width of matrix j / width, so callers can split the product
+// into disjoint column blocks. Per output element the k-order is the one
+// PackedGemm uses, so the result is bitwise PackedGemm's on each matrix.
+void PackedGemmSharedA(int64_t m, int64_t width, int64_t k,      //
+                       const float* a, int64_t rs_a, int64_t cs_a,  //
+                       const float* b, const int64_t* b_offsets,
+                       int64_t rs_b, int64_t cs_b,                  //
+                       float* c, const int64_t* c_offsets,
+                       int64_t rs_c, int64_t cs_c,                  //
+                       int64_t col_begin, int64_t col_end, bool accumulate);
 
 // Reference implementation (triple loop, same stride convention). Used by
 // tests and benchmarks as the correctness / speed baseline.

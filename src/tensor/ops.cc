@@ -256,8 +256,9 @@ namespace {
 // local partial derivatives d out / d a and d out / d b.
 //
 // Three execution strategies, fastest first: identical shapes (flat loop),
-// suffix broadcast on either side (modulo indexing), and a precomputed
-// odometer index table for arbitrary broadcasts.
+// suffix broadcast on either side (the flat loop row by row; modulo
+// indexing for rows too short to pay for that), and a precomputed odometer
+// index table for arbitrary broadcasts.
 // `fwd_name` / `bwd_name` label the op in the profiler (string literals).
 // `vec` selects the op's kernel in simd::KernelTable; when dispatch is
 // active and both operands take the flat fast path the vector kernel runs
@@ -284,23 +285,41 @@ Tensor BinaryOp(const char* fwd_name, const char* bwd_name, const Tensor& a,
       layout.a_same || (a_contig && IsSuffixBroadcast(a.shape(), out_shape));
   layout.b_suffix =
       layout.b_same || (b_contig && IsSuffixBroadcast(b.shape(), out_shape));
-  layout.table = std::make_shared<BroadcastIndexTable>();
-  if (!layout.a_suffix) {
-    layout.table->index_a = BuildIndexTable(*a.impl(), out_shape);
-  }
-  if (!layout.b_suffix) {
-    layout.table->index_b = BuildIndexTable(*b.impl(), out_shape);
+  if (!layout.a_suffix || !layout.b_suffix) {
+    layout.table = std::make_shared<BroadcastIndexTable>();
+    if (!layout.a_suffix) {
+      layout.table->index_a = BuildIndexTable(*a.impl(), out_shape);
+    }
+    if (!layout.b_suffix) {
+      layout.table->index_b = BuildIndexTable(*b.impl(), out_shape);
+    }
   }
 
   const float* ad = a.impl()->data();
   const float* bd = b.impl()->data();
   float* out = result->data();
+  // Rows of a suffix broadcast shorter than this stay on the modulo loop,
+  // where a kernel call per row would cost more than it saves.
+  constexpr int64_t kMinSuffixRow = 8;
+  const int64_t row = std::min(layout.an, layout.bn);
+  const simd::KernelTable* vk = vec != nullptr ? simd::Active() : nullptr;
   if (layout.a_same && layout.b_same) {
-    const simd::KernelTable* vk = vec != nullptr ? simd::Active() : nullptr;
     if (vk != nullptr) {
       (vk->*vec)(ad, bd, out, layout.n);
     } else {
       for (int64_t i = 0; i < layout.n; ++i) out[i] = fwd(ad[i], bd[i]);
+    }
+  } else if (layout.a_suffix && layout.b_suffix && row >= kMinSuffixRow) {
+    // Suffix broadcast (the bias add): the shorter operand repeats every
+    // `row` elements, so the flat kernel runs row by row.
+    for (int64_t i = 0; i < layout.n; i += row) {
+      const float* ar = ad + i % layout.an;
+      const float* br = bd + i % layout.bn;
+      if (vk != nullptr) {
+        (vk->*vec)(ar, br, out + i, row);
+      } else {
+        for (int64_t j = 0; j < row; ++j) out[i + j] = fwd(ar[j], br[j]);
+      }
     }
   } else {
     for (int64_t i = 0; i < layout.n; ++i) {
@@ -459,9 +478,10 @@ Tensor Sigmoid(const Tensor& x) {
   return UnaryOp(
       "sigmoid.fwd", "sigmoid.bwd", x,
       [](float v) {
-        // Numerically stable logistic.
-        return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                         : std::exp(v) / (1.0f + std::exp(v));
+        // Numerically stable logistic: e = exp(-|v|), one exp per element.
+        // The false branch takes v itself, so a NaN input keeps its bits.
+        const float e = std::exp(v >= 0.0f ? -v : v);
+        return v >= 0.0f ? 1.0f / (1.0f + e) : e / (1.0f + e);
       },
       [](float, float y) { return y * (1.0f - y); });
 }
@@ -1221,6 +1241,20 @@ struct MatMulPlan {
   // operand's matrix.
   std::vector<int64_t> a_batch_offset;
   std::vector<int64_t> b_batch_offset;
+  // Element offset of each output (and output-gradient) batch matrix.
+  std::vector<int64_t> c_batch_offset;
+
+  // Folds that run a batched product as one GEMM (per output element the
+  // k-order is unchanged, so both are bitwise the per-batch loop):
+  //  - column fold: one A for every batch (Â·X of graph propagation), so
+  //    C = A @ [B_0 | B_1 | ...] through PackedGemmSharedA;
+  //  - row fold: one B for every batch and A's batch matrices stacked at a
+  //    uniform row stride (X·W of a feature map), so the batches are the
+  //    row blocks of one [batch_count * m, k] @ [k, n] product.
+  bool ColumnFold() const { return batch_count > 1 && a_count == 1; }
+  bool RowFold() const { return b_count == 1 && a_rows_stack; }
+  int64_t a_count = 1, b_count = 1;  // Distinct matrices per operand.
+  bool a_rows_stack = false;
 };
 
 Shape BatchShapeOf(const Shape& s) {
@@ -1267,9 +1301,80 @@ MatMulPlan PlanMatMul(const TensorImpl& a, const TensorImpl& b) {
   plan.batch_count = plan.batch_shape.numel();
   plan.a_batch_offset = BatchOffsets(a, plan.batch_shape);
   plan.b_batch_offset = BatchOffsets(b, plan.batch_shape);
-  plan.a_shared = batch_a.numel() != plan.batch_count;
-  plan.b_shared = batch_b.numel() != plan.batch_count;
+  plan.a_count = batch_a.numel();
+  plan.b_count = batch_b.numel();
+  plan.a_shared = plan.a_count != plan.batch_count;
+  plan.b_shared = plan.b_count != plan.batch_count;
+  // Stacked rows never alias across batches, so the row-folded backward can
+  // accumulate dA without serialising the batches.
+  const int64_t a_batch_rows = plan.m * plan.rs_a;
+  plan.a_rows_stack = plan.batch_count == 1 || a_batch_rows != 0;
+  for (int64_t batch = 0; batch < plan.batch_count; ++batch) {
+    plan.a_rows_stack =
+        plan.a_rows_stack && plan.a_batch_offset[batch] ==
+                                 plan.a_batch_offset[0] + batch * a_batch_rows;
+  }
+  plan.c_batch_offset.resize(plan.batch_count);
+  for (int64_t batch = 0; batch < plan.batch_count; ++batch) {
+    plan.c_batch_offset[batch] = batch * plan.m * plan.n;
+  }
   return plan;
+}
+
+// Runs fn(begin, end) over [0, total) in parallel blocks of `block`; the
+// block edges are fixed, so the work split does not depend on the thread
+// count.
+template <typename Fn>
+void ForBlocks(int64_t total, int64_t block, Fn fn) {
+  const int64_t blocks = (total + block - 1) / block;
+  ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
+    for (int64_t blk = begin; blk < end; ++blk) {
+      fn(blk * block, std::min(total, (blk + 1) * block));
+    }
+  });
+}
+
+// Runs block(batch, blk) over every (batch, row block) pair in parallel.
+// With `shared` set the operand being accumulated is broadcast across
+// batches, so each task owns one row block of every batch instead.
+template <typename Block>
+void ForBatchBlocks(int64_t batches, int64_t blocks, bool shared,
+                    Block block) {
+  if (shared) {
+    ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
+      for (int64_t blk = begin; blk < end; ++blk) {
+        for (int64_t batch = 0; batch < batches; ++batch) block(batch, blk);
+      }
+    });
+  } else {
+    ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
+      for (int64_t t = begin; t < end; ++t) block(t / blocks, t % blocks);
+    });
+  }
+}
+
+// C_g (+)= A @ B_g for every batch g through PackedGemmSharedA, in parallel
+// over row blocks x column blocks of the concatenated product.
+void SharedAGemm(int64_t m, int64_t n, int64_t k, int64_t batches,
+                 const float* a, int64_t rs_a, int64_t cs_a,  //
+                 const float* b, const int64_t* b_offsets, int64_t rs_b,
+                 int64_t cs_b,                                //
+                 float* c, const int64_t* c_offsets, int64_t rs_c,
+                 int64_t cs_c, bool accumulate) {
+  const int64_t cols = batches * n;
+  const int64_t row_blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
+  const int64_t col_blocks = (cols + kGemmColBlock - 1) / kGemmColBlock;
+  ParallelFor(0, row_blocks * col_blocks, [&](int64_t begin, int64_t end) {
+    for (int64_t t = begin; t < end; ++t) {
+      const int64_t i0 = (t / col_blocks) * kGemmRowBlock;
+      const int64_t j0 = (t % col_blocks) * kGemmColBlock;
+      PackedGemmSharedA(std::min(kGemmRowBlock, m - i0), n, k,  //
+                        a + i0 * rs_a, rs_a, cs_a,              //
+                        b, b_offsets, rs_b, cs_b,               //
+                        c + i0 * rs_c, c_offsets, rs_c, cs_c,   //
+                        j0, std::min(cols, j0 + kGemmColBlock), accumulate);
+    }
+  });
 }
 
 class MatMulNode : public Node {
@@ -1296,64 +1401,62 @@ class MatMulNode : public Node {
       float* ga = ai->grad();
       // dA = dC @ B^T, accumulated at A's strides (the grad buffer mirrors
       // the data layout, so a transposed-view operand scatters correctly).
-      const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
-      auto block = [&](int64_t batch, int64_t blk) {
-        const int64_t i0 = blk * kGemmRowBlock;
-        const int64_t rows = std::min(kGemmRowBlock, m - i0);
-        PackedGemm(rows, k, n,                                     //
-                   gout + (batch * m + i0) * n, n, 1,              //
-                   bv + plan.b_batch_offset[batch], plan.cs_b,
-                   plan.rs_b,                                      // B^T
-                   ga + plan.a_batch_offset[batch] + i0 * plan.rs_a,
-                   plan.rs_a, plan.cs_a,
-                   /*accumulate=*/true);
-      };
-      if (plan.a_shared) {
-        // A's batches are broadcast-shared: a thread owns a row block of
-        // EVERY batch (serial inner loop) so accumulation never races.
-        ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t blk = begin; blk < end; ++blk) {
-            for (int64_t batch = 0; batch < batches; ++batch) {
-              block(batch, blk);
-            }
-          }
+      if (plan.RowFold()) {
+        // Over the stacked rows of every batch at once.
+        const float* b0 = bv + plan.b_batch_offset[0];
+        float* ga0 = ga + plan.a_batch_offset[0];
+        ForBlocks(batches * m, kGemmRowBlock, [&](int64_t r0, int64_t r1) {
+          PackedGemm(r1 - r0, k, n, gout + r0 * n, n, 1,  //
+                     b0, plan.cs_b, plan.rs_b,            // B^T
+                     ga0 + r0 * plan.rs_a, plan.rs_a, plan.cs_a,
+                     /*accumulate=*/true);
         });
       } else {
-        ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) block(t / blocks, t % blocks);
-        });
+        const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
+        auto block = [&](int64_t batch, int64_t blk) {
+          const int64_t i0 = blk * kGemmRowBlock;
+          const int64_t rows = std::min(kGemmRowBlock, m - i0);
+          PackedGemm(rows, k, n,                                     //
+                     gout + plan.c_batch_offset[batch] + i0 * n, n, 1,
+                     bv + plan.b_batch_offset[batch], plan.cs_b,
+                     plan.rs_b,                                      // B^T
+                     ga + plan.a_batch_offset[batch] + i0 * plan.rs_a,
+                     plan.rs_a, plan.cs_a,
+                     /*accumulate=*/true);
+        };
+        // A's batches may be broadcast-shared: then a thread owns a row
+        // block of EVERY batch (serial inner loop) so accumulation never
+        // races.
+        ForBatchBlocks(batches, blocks, plan.a_shared, block);
       }
     }
     if (bi->requires_grad) {
       STSM_PROF_SCOPE("matmul.bwd_b");
       bi->EnsureGrad();
       float* gb = bi->grad();
-      // dB = A^T @ dC, accumulated at B's strides. Row blocks run over k
-      // (the rows of dB).
-      const int64_t blocks = (k + kGemmRowBlock - 1) / kGemmRowBlock;
-      auto block = [&](int64_t batch, int64_t blk) {
-        const int64_t k0 = blk * kGemmRowBlock;
-        const int64_t rows = std::min(kGemmRowBlock, k - k0);
-        PackedGemm(rows, n, m,                                     //
-                   av + plan.a_batch_offset[batch] + k0 * plan.cs_a,
-                   plan.cs_a, plan.rs_a,                           // A^T
-                   gout + batch * m * n, n, 1,                     //
-                   gb + plan.b_batch_offset[batch] + k0 * plan.rs_b,
-                   plan.rs_b, plan.cs_b,
-                   /*accumulate=*/true);
-      };
-      if (plan.b_shared) {
-        ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t blk = begin; blk < end; ++blk) {
-            for (int64_t batch = 0; batch < batches; ++batch) {
-              block(batch, blk);
-            }
-          }
-        });
+      // dB = A^T @ dC, accumulated at B's strides.
+      if (plan.ColumnFold()) {
+        // One shared A^T against the concatenated output gradients.
+        SharedAGemm(k, n, m, batches,                                  //
+                    av + plan.a_batch_offset[0], plan.cs_a, plan.rs_a,  // A^T
+                    gout, plan.c_batch_offset.data(), n, 1,             //
+                    gb, plan.b_batch_offset.data(), plan.rs_b, plan.cs_b,
+                    /*accumulate=*/true);
       } else {
-        ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) block(t / blocks, t % blocks);
-        });
+        // Row blocks run over k (the rows of dB).
+        const int64_t blocks = (k + kGemmRowBlock - 1) / kGemmRowBlock;
+        auto block = [&](int64_t batch, int64_t blk) {
+          const int64_t k0 = blk * kGemmRowBlock;
+          const int64_t rows = std::min(kGemmRowBlock, k - k0);
+          PackedGemm(rows, n, m,                                     //
+                     av + plan.a_batch_offset[batch] + k0 * plan.cs_a,
+                     plan.cs_a, plan.rs_a,                           // A^T
+                     gout + plan.c_batch_offset[batch], n, 1,        //
+                     gb + plan.b_batch_offset[batch] + k0 * plan.rs_b,
+                     plan.rs_b, plan.cs_b,
+                     /*accumulate=*/true);
+        };
+        ForBatchBlocks(batches, blocks, plan.b_shared, block);
       }
     }
   }
@@ -1384,22 +1487,37 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   float* out = result->data();
   const int64_t m = plan->m, k = plan->k, n = plan->n;
 
-  // Forward: parallel over (batch, row-block) pairs; each task owns a
-  // disjoint block of C rows and runs one packed GEMM over it.
-  const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
-  ParallelFor(0, plan->batch_count * blocks, [&](int64_t begin, int64_t end) {
-    for (int64_t t = begin; t < end; ++t) {
-      const int64_t batch = t / blocks;
-      const int64_t i0 = (t % blocks) * kGemmRowBlock;
-      const int64_t rows = std::min(kGemmRowBlock, m - i0);
-      PackedGemm(rows, n, k,  //
+  if (plan->ColumnFold()) {
+    SharedAGemm(m, n, k, plan->batch_count,  //
+                ad + plan->a_batch_offset[0], plan->rs_a, plan->cs_a,
+                bd, plan->b_batch_offset.data(), plan->rs_b, plan->cs_b,
+                out, plan->c_batch_offset.data(), n, 1,
+                /*accumulate=*/false);
+  } else if (plan->RowFold()) {
+    const float* a0 = ad + plan->a_batch_offset[0];
+    const float* b0 = bd + plan->b_batch_offset[0];
+    ForBlocks(plan->batch_count * m, kGemmRowBlock,
+              [&](int64_t r0, int64_t r1) {
+                PackedGemm(r1 - r0, n, k,                               //
+                           a0 + r0 * plan->rs_a, plan->rs_a, plan->cs_a,  //
+                           b0, plan->rs_b, plan->cs_b,                  //
+                           out + r0 * n, n, 1, /*accumulate=*/false);
+              });
+  } else {
+    // Each (batch, row-block) task owns a disjoint block of C rows and
+    // runs one packed GEMM over it.
+    const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
+    ForBatchBlocks(plan->batch_count, blocks, /*shared=*/false,
+                   [&](int64_t batch, int64_t blk) {
+      const int64_t i0 = blk * kGemmRowBlock;
+      PackedGemm(std::min(kGemmRowBlock, m - i0), n, k,  //
                  ad + plan->a_batch_offset[batch] + i0 * plan->rs_a,
                  plan->rs_a, plan->cs_a,  //
                  bd + plan->b_batch_offset[batch], plan->rs_b, plan->cs_b,
-                 out + (batch * m + i0) * n, n, 1,
+                 out + plan->c_batch_offset[batch] + i0 * n, n, 1,
                  /*accumulate=*/false);
-    }
-  });
+    });
+  }
 
   if (result->requires_grad) {
     result->grad_fn = std::make_shared<MatMulNode>(a.impl(), b.impl(),
@@ -1662,6 +1780,20 @@ Tensor Conv1dTime(const Tensor& xin, const Tensor& win, const Tensor& bin,
 
   // out[b,t,n,co] = bias[co]
   //   + sum_{kk,ci} w[co,ci,kk] * x[b, t - (K-1-kk)*dilation, n, ci]
+  // Each tap kk adds its own ci-ordered sum. The weights are laid out
+  // [kk][ci][co] so that sum runs for a block of output channels at once:
+  // every co keeps its own accumulator (the same order of adds as one
+  // channel at a time) and the co loop vectorises.
+  constexpr int64_t kCoBlock = 8;
+  std::vector<float> w_taps(static_cast<size_t>(kernel * c_in * c_out));
+  for (int64_t co = 0; co < c_out; ++co) {
+    for (int64_t ci = 0; ci < c_in; ++ci) {
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        w_taps[(kk * c_in + ci) * c_out + co] =
+            wd[(co * c_in + ci) * kernel + kk];
+      }
+    }
+  }
   ParallelFor(0, batch * time, [&](int64_t begin, int64_t end) {
     for (int64_t bt = begin; bt < end; ++bt) {
       const int64_t b = bt / time;
@@ -1678,14 +1810,24 @@ Tensor Conv1dTime(const Tensor& xin, const Tensor& win, const Tensor& bin,
         const int64_t t_in = t - (kernel - 1 - kk) * dilation;
         if (t_in < 0) continue;  // Left zero-padding (causal).
         const float* x_bt = xd + (b * time + t_in) * nodes * c_in;
+        const float* w_tap = w_taps.data() + kk * c_in * c_out;
         for (int64_t n = 0; n < nodes; ++n) {
           const float* x_row = x_bt + n * c_in;
           float* out_row = out_bt + n * c_out;
-          for (int64_t co = 0; co < c_out; ++co) {
-            const float* w_row = wd + (co * c_in) * kernel;
+          int64_t co0 = 0;
+          for (; co0 + kCoBlock <= c_out; co0 += kCoBlock) {
+            float acc[kCoBlock] = {};
+            for (int64_t ci = 0; ci < c_in; ++ci) {
+              const float xv = x_row[ci];
+              const float* w_ci = w_tap + ci * c_out + co0;
+              for (int64_t j = 0; j < kCoBlock; ++j) acc[j] += w_ci[j] * xv;
+            }
+            for (int64_t j = 0; j < kCoBlock; ++j) out_row[co0 + j] += acc[j];
+          }
+          for (int64_t co = co0; co < c_out; ++co) {
             float acc = 0.0f;
             for (int64_t ci = 0; ci < c_in; ++ci) {
-              acc += w_row[ci * kernel + kk] * x_row[ci];
+              acc += w_tap[ci * c_out + co] * x_row[ci];
             }
             out_row[co] += acc;
           }

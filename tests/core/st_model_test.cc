@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
@@ -192,10 +194,64 @@ TEST(StBlockTest, Eq12ResidualCombination) {
   Rng data_rng(21);
   const Tensor x = Tensor::Uniform(Shape({2, 6, 4, 8}), -1, 1, &data_rng);
   const Tensor zero_adj = Tensor::Zeros(Shape({4, 4}));
-  const Tensor y = block.Forward(x, zero_adj, zero_adj);
+  const Tensor y = block.Forward(x, zero_adj, zero_adj, /*out_steps=*/6);
   EXPECT_EQ(y.shape(), x.shape());
   for (int64_t i = 0; i < y.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(y.data()[i]));
+  }
+}
+
+TEST(StBlockTest, LastStepOnlyEqualsLastStepOfFullLength) {
+  // Eq. 13/16 read the last block at the last step only. Computing just that
+  // step (spatial branch on the last step, TCN on its receptive-field
+  // suffix, transformer in full) must be bitwise the full-length block's
+  // last step, for either temporal module, either adjacency form and batch.
+  Rng adj_rng(40);
+  Tensor dense_s = Tensor::Uniform(Shape({7, 7}), 0, 0.4f, &adj_rng);
+  Tensor dense_t = Tensor::Uniform(Shape({7, 7}), 0, 0.4f, &adj_rng);
+  for (Tensor* adj : {&dense_s, &dense_t}) {
+    for (int64_t i = 0; i < adj->numel(); ++i) {
+      if (adj->data()[i] < 0.2f) adj->data()[i] = 0.0f;
+    }
+  }
+  // TCN kernels 2 and 3 (receptive fields 4 and 7 of 12 steps), then the
+  // transformer.
+  for (const int variant : {2, 3, 0}) {
+    StsmConfig config = SmallModelConfig();
+    const TemporalModule module =
+        variant == 0 ? TemporalModule::kTransformer : TemporalModule::kTcn;
+    config.temporal_module = module;
+    if (variant != 0) config.tcn_kernel = variant;
+    Rng rng(41);
+    const StBlock block(8, config, &rng);
+    for (const bool sparse : {false, true}) {
+      const Adjacency adj_s =
+          sparse ? Adjacency(SparseCsr::FromDense(dense_s)) : dense_s;
+      const Adjacency adj_t =
+          sparse ? Adjacency(SparseCsr::FromDense(dense_t)) : dense_t;
+      for (const int batch : {1, 8}) {
+        for (const bool grad : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "variant " << variant
+                       << " sparse " << sparse << " batch " << batch
+                       << " grad " << grad);
+          std::unique_ptr<NoGradGuard> no_grad;
+          if (!grad) no_grad = std::make_unique<NoGradGuard>();
+          Rng data_rng(42 + batch);
+          const Tensor x =
+              Tensor::Uniform(Shape({batch, 12, 7, 8}), -1, 1, &data_rng);
+          const Tensor full = block.Forward(x, adj_s, adj_t, 12);
+          const Tensor last = block.Forward(x, adj_s, adj_t, 1);
+          ASSERT_EQ(last.shape(), Shape({batch, 1, 7, 8}));
+          const Tensor want = Contiguous(Slice(full, 1, 11, 12));
+          const Tensor got = Contiguous(last);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) *
+                                    static_cast<size_t>(want.numel())),
+                    0);
+        }
+      }
+    }
   }
 }
 

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/attention.h"
@@ -123,6 +126,51 @@ TEST(GcnlLayerTest, GatingBoundsOutput) {
   // (|v * sigmoid(g)| <= |v|); just check finite and shaped here.
   for (int64_t i = 0; i < y.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(y.data()[i]));
+  }
+}
+
+TEST(GcnlLayerTest, OnePropagationEqualsTwoGcnLayerForwards) {
+  // Eq. 7 built from the kept GcnLayer::Forward, one propagation per branch,
+  // must be bitwise the gated layer that propagates once for both.
+  Rng rng(6);
+  const GcnlLayer layer(5, 7, &rng);
+  Rng rng_copy(7);
+  const GcnLayer value(5, 7, &rng_copy);
+  const GcnLayer gate(5, 7, &rng_copy);
+  const std::vector<Tensor> params = layer.Parameters();
+  const std::vector<Tensor> copies = ConcatParameters(
+      {value.Parameters(), gate.Parameters()});
+  ASSERT_EQ(params.size(), copies.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    Tensor src = params[p];
+    Tensor dst = copies[p];
+    // Distinct nonzero biases, so the bias add is exercised too.
+    if (src.ndim() == 1) {
+      for (int64_t i = 0; i < src.numel(); ++i) {
+        src.data()[i] = 0.1f * static_cast<float>(i + p);
+      }
+    }
+    std::copy(src.data(), src.data() + src.numel(), dst.data());
+  }
+  Rng data_rng(8);
+  Tensor dense = Tensor::Uniform(Shape({9, 9}), 0, 0.3f, &data_rng);
+  for (int64_t i = 0; i < dense.numel(); ++i) {
+    if (dense.data()[i] < 0.15f) dense.data()[i] = 0.0f;
+  }
+  for (int64_t batch : {1, 8}) {
+    const Tensor x =
+        Tensor::Uniform(Shape({batch, 12, 9, 5}), -2, 2, &data_rng);
+    for (const Adjacency& adj :
+         {Adjacency(dense), Adjacency(SparseCsr::FromDense(dense))}) {
+      const Tensor got = layer.Forward(adj, x);
+      const Tensor want =
+          Mul(value.Forward(adj, x), Sigmoid(gate.Forward(adj, x)));
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * static_cast<size_t>(got.numel())),
+                0)
+          << "batch " << batch << " sparse " << adj.is_sparse();
+    }
   }
 }
 

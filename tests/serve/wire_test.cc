@@ -337,6 +337,88 @@ TEST(WireFuzzTest, MutatedRequestFramesDecodeOrFailCleanly) {
   EXPECT_GT(malformed, kCases / 4);
 }
 
+// Mutated copies of valid response frames go through the client's decode
+// path (DecodeHeader, a kResponse type check, then DecodeResponsePayload over
+// exactly the declared payload), as NetClient runs it on bytes from the
+// server.
+TEST(WireFuzzTest, MutatedResponseFramesDecodeOrFailCleanly) {
+  constexpr uint64_t kSeed = 0x7e5b;
+  constexpr int kCases = 4000;
+  // Payload length, status tag, message length, horizon, batch size,
+  // forecast length.
+  constexpr size_t kStatusAt = kHeaderBytes + 8;
+  const std::vector<Field> fields = {
+      {8, 4},
+      {kStatusAt, 1},
+      {kHeaderBytes + 10, 2},
+      {kHeaderBytes + 12, 4},
+      {kHeaderBytes + 16, 4},
+      {kHeaderBytes + 20, 4}};
+  int decoded = 0;
+  int malformed = 0;
+  for (int index = 0; index < kCases; ++index) {
+    SCOPED_TRACE(::testing::Message()
+                 << "replay: seed " << kSeed << ", index " << index);
+    Rng rng = CaseRng(kSeed, index);
+    ResponseFrame valid;
+    valid.id = rng.NextU64();
+    valid.response.status = static_cast<Status>(rng.UniformInt(4));
+    valid.response.cache_hit = rng.UniformInt(2) == 1;
+    valid.response.message.assign(static_cast<size_t>(rng.UniformInt(17)),
+                                  'e');
+    valid.response.horizon = rng.UniformInt(13);
+    valid.response.batch_size = 1 + rng.UniformInt(8);
+    valid.response.forecast.assign(static_cast<size_t>(rng.UniformInt(33)),
+                                   -0.25f);
+    std::vector<uint8_t> bytes;
+    EncodeResponse(valid, &bytes);
+    Mutate(&rng, fields, &bytes);
+
+    // Stop at the first malformed frame (the client fails the call) or at
+    // an incomplete one (the client reads more).
+    for (size_t at = 0; at < bytes.size();) {
+      const uint8_t* data = bytes.data() + at;
+      const size_t available = bytes.size() - at;
+      FrameHeader header;
+      std::string error;
+      const DecodeResult head = DecodeHeader(data, available, &header, &error);
+      if (head == DecodeResult::kNeedMore) {
+        EXPECT_LT(available, kHeaderBytes);
+        break;
+      }
+      if (head == DecodeResult::kMalformed ||
+          header.type != FrameType::kResponse) {
+        ++malformed;
+        break;
+      }
+      if (available - kHeaderBytes < header.payload_bytes) break;
+      ResponseFrame frame;
+      if (!DecodeResponsePayload(data + kHeaderBytes, header.payload_bytes,
+                                 &frame, &error)) {
+        EXPECT_FALSE(error.empty());
+        ++malformed;
+        break;
+      }
+      EXPECT_LE(static_cast<uint8_t>(frame.response.status),
+                static_cast<uint8_t>(Status::kError));
+      // A frame that decodes re-encodes to its own bytes, so no count
+      // outgrew the bytes it came in. The one exception is the flags byte:
+      // the decoder keeps only its cache-hit bit.
+      std::vector<uint8_t> again;
+      EncodeResponse(frame, &again);
+      ASSERT_EQ(again.size(), kHeaderBytes + header.payload_bytes);
+      std::vector<uint8_t> expected(data, data + again.size());
+      expected[kStatusAt + 1] &= 1;
+      EXPECT_EQ(again, expected);
+      ++decoded;
+      at += again.size();
+    }
+  }
+  // The mutations must reach both outcomes, or the loop tests nothing.
+  EXPECT_GT(decoded, kCases / 20);
+  EXPECT_GT(malformed, kCases / 4);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace serve
