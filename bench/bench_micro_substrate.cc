@@ -308,6 +308,22 @@ void BM_AddContiguousScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_AddContiguousScalar);
 
+// Suffix-broadcast Add of a [rows, width] tensor and a [width] row, the
+// bias-add layout, at the element count of one STSM layer output
+// ([12, 84, 16]). The widths cover rows shorter than one vector register.
+void BM_AddSuffixBroadcast(benchmark::State& state) {
+  const int64_t width = state.range(0);
+  const int64_t rows = 12 * 84 * 16 / width;
+  Rng rng(12);
+  const Tensor a = Tensor::Uniform(Shape({rows, width}), -1, 1, &rng);
+  const Tensor b = Tensor::Uniform(Shape({width}), -1, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Add(a, b).data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+}
+BENCHMARK(BM_AddSuffixBroadcast)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 void BM_InfoNce(benchmark::State& state) {
   Rng rng(6);
   Tensor a = Tensor::Uniform(Shape({16, 32}), -1, 1, &rng, true);

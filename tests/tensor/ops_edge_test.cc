@@ -205,7 +205,7 @@ bool SameBits(const float* got, const std::vector<float>& want) {
 
 TEST(KernelOracleTest, SuffixBroadcastAddEqualsModuloLoop) {
   // [B, T, N, C] + [C] (the bias add), [C] + [B, T, N, C], [N, C] + [.., N,
-  // C], and a row shorter than the row kernel's minimum.
+  // C], and rows of 1, 2 and 3, shorter than one vector register.
   struct Case {
     Shape a, b;
   };
@@ -213,7 +213,9 @@ TEST(KernelOracleTest, SuffixBroadcastAddEqualsModuloLoop) {
                         {Shape({16}), Shape({2, 3, 5, 16})},
                         {Shape({3, 5, 9}), Shape({5, 9})},
                         {Shape({1, 5, 9}), Shape({4, 5, 9})},
-                        {Shape({4, 6, 3}), Shape({3})}};
+                        {Shape({4, 6, 3}), Shape({3})},
+                        {Shape({7, 1}), Shape({1})},
+                        {Shape({2}), Shape({5, 2})}};
   for (const bool vector : {false, true}) {
     if (vector && simd::Supported() == nullptr) continue;
     simd::SetDispatchForTesting(vector);

@@ -5,16 +5,19 @@
                                 [--benchmark BENCHMARK.json]
 
 For every end-to-end metric of BENCHMARK.json, on every workload, prints
-the two medians and the relative change. A change is flagged only when it
-is larger than both the metric's bound (as a share of the old median) and
-the measured spread (the larger of the two files' IQRs); anything smaller
-is indistinguishable from run-to-run noise on this benchmark. Per-layer
-metrics of the traced runs are listed with their change but never flagged:
-each comes from a single run. A run that is not `correct`, or that failed
-operations, is flagged too.
+the two medians and the relative change. A change larger than the metric's
+bound (as a share of the old median) is flagged `better` or `WORSE` when
+it is also larger than the measured spread (the larger of the two files'
+IQRs), and `unresolved` when it is not: the runs spread too widely to tell
+it from noise, so it is not cleared either. A change within the bound is
+not flagged. Per-layer metrics of the traced runs are listed with their
+change but never flagged: each comes from a single run. A run that is not
+`correct`, or that failed operations, is flagged too. Records made with
+different seeds or run lengths are refused.
 
-Exit status: 1 when a flagged change is a regression or a run is
-incorrect, else 0. Stdlib only.
+Exit status: 1 when a change is WORSE, or unresolved in the worse
+direction, or a run is incorrect; 2 when the records are not comparable;
+else 0. Stdlib only.
 """
 
 import argparse
@@ -35,15 +38,26 @@ def relative(old, new):
 
 
 def compare_metric(spec, old, new):
-    """Returns (relative change, verdict) of one end-to-end metric, where
-    verdict is '', 'better' or 'WORSE'."""
+    """Returns (relative change, verdict, worse direction) of one end-to-end
+    metric, where verdict is '', 'better', 'WORSE' or 'unresolved'."""
     delta = new["median"] - old["median"]
     rel = relative(old["median"], new["median"])
-    spread = max(old["iqr"], new["iqr"])
-    if abs(rel) <= spec["bound"] or abs(delta) <= spread:
-        return rel, ""
-    improved = delta < 0 if spec["better"] == "lower" else delta > 0
-    return rel, "better" if improved else "WORSE"
+    worse = delta > 0 if spec["better"] == "lower" else delta < 0
+    if abs(rel) <= spec["bound"]:
+        return rel, "", worse
+    if abs(delta) <= max(old["iqr"], new["iqr"]):
+        return rel, "unresolved", worse
+    return rel, "WORSE" if worse else "better", worse
+
+
+def describe(record):
+    line = (f"{record['label']} commit {record.get('commit')} "
+            f"sources {record.get('source_sha256', '?')[:12]} "
+            f"(jcc padding {record.get('jcc_branch_padding')})")
+    if record.get("uncommitted_changes"):
+        line += ("\n  warning: recorded with uncommitted changes under src/ "
+                 "or perfbench/; only the source digest names what ran")
+    return line
 
 
 def main():
@@ -55,10 +69,13 @@ def main():
     old, new = load(args.old), load(args.new)
     specs = {m["name"]: m for m in load(args.benchmark)["end_to_end"]}
 
-    print(f"old: {old['label']} {old.get('commit')} "
-          f"(jcc padding {old.get('jcc_branch_padding')})")
-    print(f"new: {new['label']} {new.get('commit')} "
-          f"(jcc padding {new.get('jcc_branch_padding')})")
+    print(f"old: {describe(old)}")
+    print(f"new: {describe(new)}")
+    for key in ("seconds", "seeds"):
+        if old.get(key) != new.get(key):
+            print(f"error: the records differ in {key} ({old.get(key)} vs "
+                  f"{new.get(key)}); their medians are not comparable")
+            return 2
     if old.get("jcc_branch_padding") != new.get("jcc_branch_padding"):
         print("note: the two builds differ in JCC branch padding; code "
               "layout alone can move latency metrics")
@@ -75,10 +92,10 @@ def main():
             if name not in o["metrics"] or name not in n["metrics"]:
                 continue
             om, nm = o["metrics"][name], n["metrics"][name]
-            rel, verdict = compare_metric(spec, om, nm)
-            if verdict == "WORSE":
+            rel, verdict, worse = compare_metric(spec, om, nm)
+            if verdict == "WORSE" or (verdict == "unresolved" and worse):
                 status = 1
-            print(f"  {'FLAG ' + verdict if verdict else '    ':12} "
+            print(f"  {'FLAG ' + verdict if verdict else '    ':15} "
                   f"{name:16} {om['median']:12.6g} -> {nm['median']:12.6g} "
                   f"{spec['unit']:5} {rel:+8.1%}  "
                   f"(IQR {om['iqr']:.3g} / {nm['iqr']:.3g}, "

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Records a BENCH_<label>.json: perfbench medians and spread over seeds.
 
-    python3 tools/bench_record.py --label base [--seeds 1 2 3 4 5]
-                                  [--seconds 30] [--checkout DIR] [--out FILE]
+    python3 tools/bench_record.py --label base [--checkout DIR] [--out FILE]
 
 Runs `python3 perfbench/run.py` from the root of a checkout (this one by
 default; --checkout records another, such as the parent commit in a second
-copy), so perfbench builds that checkout's sources under its own
-.bench_build. Both workloads run untraced once per seed, alternating which
-workload goes first, then one traced run of bay-dense-unique at the first
-seed. The file holds the commit (and a digest of the sources perfbench
-built, which identifies a record made before its commit), the host, whether
-the build took the JCC-erratum branch padding (code layout alone moved
-forward latency by 30% on this project before it was on), and per workload:
-the `correct` flag and failed-operation count of every run, and each
-metric's median, quartiles, IQR and raw values. The traced run's per-layer metrics are stored as they
+copy). Each checkout builds its own sources under its own
+<checkout>/.bench_build: CARGO_TARGET_DIR is set to that path for the
+child, whatever the caller's environment holds. Both workloads run
+untraced once per seed of SEEDS, for the run length the checkout's
+BENCHMARK.json fixes, alternating which workload goes first, then one
+traced run of bay-dense-unique at the first seed. The file holds the
+commit (null when src/ or perfbench/ had uncommitted changes, since the
+commit would then not hold what was measured), a digest of the sources
+perfbench built, the host, whether the build took the JCC-erratum branch
+padding (code layout alone moved forward latency by 30% on this project
+before it was on), and per workload: the `correct` flag and
+failed-operation count of every run, and each metric's median, quartiles,
+IQR and raw values. The traced run's per-layer metrics are stored as they
 come (one run, no spread). Compare two files with tools/bench_diff.py.
 Stdlib only.
 """
@@ -32,10 +35,20 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bay-dense-unique", "bay-sparse-hot")
 TRACED_WORKLOAD = "bay-dense-unique"
+SEEDS = (1, 2, 3, 4, 5)  # Five runs per workload: the fewest that give an IQR.
 
 
 def log(message):
     print(message, file=sys.stderr, flush=True)
+
+
+def build_root(checkout):
+    return Path(checkout) / ".bench_build"
+
+
+def run_seconds(checkout):
+    with open(Path(checkout) / "BENCHMARK.json", "r", encoding="utf-8") as f:
+        return json.load(f)["run_seconds"]
 
 
 def run_perfbench(checkout, workload, seed, seconds, trace):
@@ -44,7 +57,8 @@ def run_perfbench(checkout, workload, seed, seconds, trace):
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     log(f"[{checkout}] {' '.join(cmd[1:])}")
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
+    env = dict(os.environ, CARGO_TARGET_DIR=str(build_root(checkout)))
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -79,6 +93,7 @@ def summarize(runs):
 
 
 def git_commit(checkout):
+    """(HEAD, whether src/ or perfbench/ differ from it)."""
     try:
         commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                                 capture_output=True, text=True, check=True)
@@ -106,9 +121,7 @@ def source_digest(checkout):
 def jcc_padding(checkout):
     """Whether perfbench's build tree took -Wa,-mbranches-within-32B-boundaries
     (None when that cannot be told)."""
-    build_root = Path(os.environ.get("CARGO_TARGET_DIR",
-                                     Path(checkout) / ".bench_build"))
-    cache = build_root / "perfbench" / "CMakeCache.txt"
+    cache = build_root(checkout) / "perfbench" / "CMakeCache.txt"
     if not cache.exists():
         return None
     for line in cache.read_text().splitlines():
@@ -130,34 +143,33 @@ def cpu_model():
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--checkout", default=str(REPO))
     parser.add_argument("--out")
     args = parser.parse_args()
-    if len(args.seeds) < 5:
-        log("warning: fewer than 5 seeds; the IQR means little")
     checkout = Path(args.checkout).resolve()
+    seconds = run_seconds(checkout)
 
     runs = {w: [] for w in WORKLOADS}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(SEEDS):
         order = WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]
         for workload in order:
             runs[workload].append(
-                run_perfbench(checkout, workload, seed, args.seconds, 0))
-    traced = run_perfbench(checkout, TRACED_WORKLOAD, args.seeds[0],
-                           args.seconds, 1)
+                run_perfbench(checkout, workload, seed, seconds, 0))
+    traced = run_perfbench(checkout, TRACED_WORKLOAD, SEEDS[0], seconds, 1)
 
     commit, dirty = git_commit(checkout)
+    if dirty:
+        log("warning: src/ or perfbench/ has uncommitted changes; the record "
+            "names no commit, only the source digest")
     record = {
         "label": args.label,
-        "commit": commit,
+        "commit": None if dirty else commit,
         "uncommitted_changes": dirty,
         "source_sha256": source_digest(checkout),
         "host": {"cpu": cpu_model(), "cpus": os.cpu_count()},
         "jcc_branch_padding": jcc_padding(checkout),
-        "seconds": args.seconds,
-        "seeds": args.seeds,
+        "seconds": seconds,
+        "seeds": list(SEEDS),
         "workloads": {
             w: {
                 "correct": [r["correct"] for r in runs[w]],
@@ -168,7 +180,7 @@ def main():
         },
         "traced": {
             "workload": TRACED_WORKLOAD,
-            "seed": args.seeds[0],
+            "seed": SEEDS[0],
             "correct": traced["correct"],
             "metrics": traced["metrics"],
         },
